@@ -3,11 +3,21 @@
 Models one caching resolver in front of configured authoritative zones,
 plus synthetic client traffic (Poisson or periodic per domain). Every
 cache transition is logged with its cause, so snooping results can be
-checked against exact truth. Time is lazy: client arrivals, expiries
+checked against exact truth. Time is lazy: client lookups, expiries
 and anomaly refreshes sit in an event heap and are applied whenever the
 simulation is advanced, which happens implicitly on every query. The
 same instance can be driven on virtual time in-process or served over
 loopback UDP in wall time.
+
+Poisson populations are simulated analytically. A lookup that hits a
+warm cache changes nothing, so only the lookups that change cache state
+are drawn: a domain's Poisson populations merge into one rate, and by
+memorylessness the first lookup after expiry E falls at E + Exp(rate),
+and the first one inside the pre_refresh band at its start plus
+Exp(rate). Each refresh redraws both and makes the earlier draws stale.
+A "client_query" log entry is therefore a lookup that filled or
+prefetched the cache for Poisson populations, and every lookup for
+periodic ones.
 
 Resolver behaviors under test:
   rd_policy    honor: non-recursive queries never populate the cache;
@@ -102,7 +112,9 @@ class SimConfig:
 @dataclass(frozen=True)
 class SimEvent:
     at: float
-    kind: str  # client_query | cache_refresh | probe_query | expiry
+    # client_query | cache_refresh | probe_query | expiry; a client_query is
+    # every periodic lookup, but only the cache-changing Poisson lookups
+    kind: str
     domain: str
     cause: str = ""  # for cache_refresh: client | probe | prefetch
 
@@ -269,10 +281,18 @@ class Sim:
         self.cache: dict[str, _CacheEntry] = {}
         self._heap: list[tuple[float, int, str, object]] = []
         self._seq = 0
+        # merged Poisson lookup rate per domain
+        self._poisson_rate: dict[str, float] = {}
         for index, population in enumerate(config.clients):
-            first = self._next_arrival_gap(population.process)
-            if first is not None:
-                self._schedule(self.time + first, "arrival", index)
+            process = population.process
+            if process.kind == "periodic":
+                self._schedule(self.time + process.interval, "arrival", index)
+            elif process.kind == "poisson" and process.rate > 0:
+                self._poisson_rate[population.domain] = (
+                    self._poisson_rate.get(population.domain, 0.0) + process.rate)
+        for domain, rate in self._poisson_rate.items():
+            # the cache starts empty: the first lookup fills it
+            self._schedule(self.time + self.rng.expovariate(rate), "lookup", (domain, -1))
 
     # -- scheduling ----------------------------------------------------
 
@@ -280,33 +300,41 @@ class Sim:
         self._seq += 1
         heapq.heappush(self._heap, (at, self._seq, kind, payload))
 
-    def _next_arrival_gap(self, process: ClientProcess) -> float | None:
-        if process.kind == "poisson" and process.rate > 0:
-            return self.rng.expovariate(process.rate)
-        if process.kind == "periodic":
-            return process.interval
-        return None
+    def _is_current(self, domain: str, generation: int) -> bool:
+        """True while no refresh has happened since `generation` was issued;
+        an empty cache is generation -1."""
+        entry = self.cache.get(domain)
+        return (entry.generation if entry is not None else -1) == generation
 
     def _advance_to(self, t: float) -> None:
         while self._heap and self._heap[0][0] <= t:
             at, _, kind, payload = heapq.heappop(self._heap)
             if kind == "arrival":
-                self._client_arrival(at, payload)
+                population = self.config.clients[payload]
+                self._client_lookup(at, population.domain)
+                self._schedule(at + population.process.interval, "arrival", payload)
+            elif kind == "lookup":
+                domain, generation = payload
+                if self._is_current(domain, generation):
+                    self._client_lookup(at, domain)
             elif kind == "expiry":
                 domain, generation = payload
-                entry = self.cache.get(domain)
-                if entry is not None and entry.generation == generation:
+                if self._is_current(domain, generation):
                     self.log.append(SimEvent(at=at, kind="expiry", domain=domain))
             elif kind == "prefetch":
                 domain, generation = payload
-                entry = self.cache.get(domain)
-                if entry is not None and entry.generation == generation and entry.expires_at > at:
+                if self._is_current(domain, generation) and self.cache[domain].expires_at > at:
                     self._refresh(domain, at, cause="prefetch")
         if t > self.time:
             self.time = t
 
     def advance(self, duration: float) -> list[SimEvent]:
-        """Advance virtual time, applying due arrivals; returns new log entries."""
+        """Advance virtual time, applying due events; returns new log entries.
+
+        The client_query entries returned are every periodic lookup but,
+        for Poisson populations, only the lookups that filled or
+        prefetched the cache: lookups that hit a warm cache are never drawn.
+        """
         if self.config.clock_mode != "virtual":
             raise ConfigError("advance() is only valid in virtual clock mode")
         if duration < 0:
@@ -337,12 +365,23 @@ class Sim:
             entry.max_ttl = max_ttl
         self.log.append(SimEvent(at=at, kind="cache_refresh", domain=domain, cause=cause))
         self._schedule(entry.expires_at, "expiry", (domain, entry.generation))
+        rate = self._poisson_rate.get(domain)
+        if rate:
+            # first Poisson lookup after expiry; stale once the cache refreshes
+            self._schedule(entry.expires_at + self.rng.expovariate(rate), "lookup",
+                           (domain, entry.generation))
         anomaly = self.config.anomaly
         if anomaly.kind == "pre_refresh":
             lead = self.rng.uniform(anomaly.remaining_low, anomaly.remaining_high)
             prefetch_at = entry.expires_at - lead
             if prefetch_at > at:
                 self._schedule(prefetch_at, "prefetch", (domain, entry.generation))
+            if rate:
+                # first Poisson lookup inside the band, if it comes before the band ends
+                lookup_at = (max(at, entry.expires_at - anomaly.remaining_high)
+                             + self.rng.expovariate(rate))
+                if lookup_at <= entry.expires_at - anomaly.remaining_low:
+                    self._schedule(lookup_at, "lookup", (domain, entry.generation))
 
     def _remaining(self, domain: str, at: float) -> float:
         entry = self.cache.get(domain)
@@ -350,9 +389,7 @@ class Sim:
             return 0.0
         return max(0.0, entry.expires_at - at)
 
-    def _client_arrival(self, at: float, population_index: int) -> None:
-        population = self.config.clients[population_index]
-        domain = population.domain
+    def _client_lookup(self, at: float, domain: str) -> None:
         self.log.append(SimEvent(at=at, kind="client_query", domain=domain))
         remaining = self._remaining(domain, at)
         anomaly = self.config.anomaly
@@ -363,9 +400,6 @@ class Sim:
             # otherwise a plain cache hit: no state change
         else:
             self._refresh(domain, at, cause="client")
-        gap = self._next_arrival_gap(population.process)
-        if gap is not None:
-            self._schedule(at + gap, "arrival", population_index)
 
     # -- RTT draws -----------------------------------------------------
 

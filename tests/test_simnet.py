@@ -1,8 +1,11 @@
 """Ground-truth simulator: config validation, determinism, cache model."""
 
+import heapq
 import json
+import random
 
 import pytest
+from scipy import stats
 
 from snoopdns import wire
 from snoopdns.clock import SystemClock, VirtualClock
@@ -23,6 +26,90 @@ def base_config(**overrides):
 
 def query(name, rd=True, ident=1):
     return wire.DnsQuery(id=ident, qname=name, recursion_desired=rd)
+
+
+def refreshes(log):
+    """(at, trigger, cause) per cache_refresh; the trigger is the lookup
+    or probe logged at the same instant just before it, else the server."""
+    out = []
+    for before, event in zip([None, *log], log):
+        if event.kind != "cache_refresh":
+            continue
+        trigger = "server"
+        if before is not None and before.at == event.at:
+            trigger = {"client_query": "client", "probe_query": "probe"}.get(before.kind, "server")
+        out.append((event.at, trigger, event.cause))
+    return out
+
+
+def gaps(times):
+    return [later - earlier for earlier, later in zip(times, times[1:])]
+
+
+def per_arrival_refreshes(rates, interval, ttl, band, probe_every, duration, seed):
+    """Reference for one domain: every client lookup is its own event.
+
+    Poisson populations (`rates`), an optional periodic one (`interval`),
+    RD=1 probes every `probe_every` s and an optional pre_refresh `band`
+    (low, high), with the cache rules of Sim. Returns (at, trigger,
+    cause) per cache refresh, as `refreshes` reads them from Sim.log.
+    """
+    rng = random.Random(seed)
+    heap = [(rng.expovariate(rate), i, "poisson") for i, rate in enumerate(rates)]
+    if interval:
+        heap.append((interval, -1, "periodic"))
+    heap.append((probe_every, -2, "probe"))
+    heapq.heapify(heap)
+    expires, generation, out = 0.0, 0, []
+
+    def refresh(at, trigger, cause):
+        nonlocal expires, generation
+        expires, generation = at + ttl, generation + 1
+        out.append((at, trigger, cause))
+        if band:
+            prefetch_at = expires - rng.uniform(*band)
+            if prefetch_at > at:
+                heapq.heappush(heap, (prefetch_at, generation, "prefetch"))
+
+    while heap[0][0] <= duration:
+        at, key, kind = heapq.heappop(heap)
+        if kind == "prefetch":
+            if key == generation:
+                refresh(at, "server", "prefetch")
+            continue
+        trigger = "probe" if kind == "probe" else "client"
+        remaining = max(0.0, expires - at)
+        if remaining > 0 and band and band[0] <= remaining <= band[1]:
+            refresh(at, trigger, "prefetch")
+        elif remaining == 0:
+            refresh(at, trigger, trigger)
+        if kind == "poisson":
+            heapq.heappush(heap, (at + rng.expovariate(rates[key]), key, kind))
+        else:
+            step = interval if kind == "periodic" else probe_every
+            heapq.heappush(heap, (at + step, key, kind))
+    return out
+
+
+def simulated_refreshes(rates, interval, ttl, band, probe_every, duration, seed):
+    """The same scenario through Sim, probed with RD=1 every `probe_every` s."""
+    clients = [{"domain": "a.test", "process": {"kind": "poisson", "rate": rate}}
+               for rate in rates]
+    if interval:
+        clients.append({"domain": "a.test",
+                        "process": {"kind": "periodic", "interval": interval}})
+    config = base_config(seed=seed, clients=clients)
+    config["zones"]["a.test"]["ttl"] = ttl
+    if band:
+        config["anomaly"] = {"kind": "pre_refresh", "remaining_low": band[0],
+                             "remaining_high": band[1]}
+    sim = build_sim(config)
+    at = probe_every
+    while at <= duration:
+        sim.handle_query(query("a.test"), at)
+        at += probe_every
+    sim.advance(duration - sim.time)
+    return refreshes(sim.log)
 
 
 class TestConfigValidation:
@@ -93,14 +180,17 @@ class TestDeterminism:
 
 
 class TestClientProcesses:
-    def test_poisson_arrival_count_is_plausible(self):
+    def test_poisson_refresh_gaps_follow_the_renewal_law(self):
         config = base_config(seed=42, clients=[
             {"domain": "a.test", "process": {"kind": "poisson", "rate": 0.01}}])
         sim = build_sim(config)
-        events = sim.advance(10000.0)
-        arrivals = [e for e in events if e.kind == "client_query"]
-        # mean 100, sd 10; seed is fixed so this is a frozen regression too
-        assert 70 <= len(arrivals) <= 130
+        sim.advance(1e6)
+        times = [at for at, _, cause in refreshes(sim.log) if cause == "client"]
+        spans = gaps(times)
+        # a lookup refills only an expired cache, then waits Exp(rate) more
+        assert all(gap >= 60.0 for gap in spans)
+        mean_wait = sum(gap - 60.0 for gap in spans) / len(spans)
+        assert mean_wait == pytest.approx(100.0, rel=0.05)
 
     def test_periodic_arrivals_are_exact(self):
         config = base_config(seed=5, clients=[
@@ -121,6 +211,56 @@ class TestClientProcesses:
         arrivals = {e.at for e in events if e.kind == "client_query"}
         assert all(e.at in arrivals for e in refreshes)
         assert 0 < len(refreshes) < 10
+
+
+class TestAnalyticPoissonClients:
+    """Poisson lookups are drawn only when they change the cache; the
+    refresh process must match the per-arrival reference in law."""
+
+    P_MIN = 0.001
+
+    @pytest.mark.parametrize("rates, seed", [((0.01,), 101), ((0.004, 0.011), 102)])
+    def test_fill_waits_are_exponential_in_the_merged_rate(self, rates, seed):
+        config = base_config(seed=seed, clients=[
+            {"domain": "a.test", "process": {"kind": "poisson", "rate": rate}}
+            for rate in rates])
+        sim = build_sim(config)
+        sim.advance(5e5)
+        waits = [gap - 60.0 for gap in gaps([at for at, _, _ in refreshes(sim.log)])]
+        assert len(waits) > 1000
+        p = stats.kstest(waits, "expon", args=(0.0, 1.0 / sum(rates))).pvalue
+        assert p > self.P_MIN
+
+    @pytest.mark.parametrize("rates, interval, ttl, band, seed", [
+        ((0.02,), 45.0, 60, None, 201),
+        ((0.2,), 0.0, 60, (3.0, 8.0), 202),
+        ((0.05,), 0.0, 60, (40.0, 70.0), 203),
+        ((0.01,), 0.0, 60, None, 204),
+    ], ids=["poisson+periodic", "pre_refresh", "pre_refresh_wide_band", "poisson_probed"])
+    def test_refreshes_match_the_per_arrival_reference(self, rates, interval, ttl,
+                                                       band, seed):
+        scenario = (rates, interval, ttl, band, 97.0, 2e5)
+        fast = simulated_refreshes(*scenario, seed=seed)
+        slow = per_arrival_refreshes(*scenario, seed=seed + 1000)
+        assert len(fast) > 1000 and len(slow) > 1000
+        p_gaps = stats.ks_2samp(gaps([r[0] for r in fast]),
+                                gaps([r[0] for r in slow])).pvalue
+        assert p_gaps > self.P_MIN
+        labels = sorted({r[1:] for r in fast} | {r[1:] for r in slow})
+        table = [[sum(1 for r in side if r[1:] == label) for label in labels]
+                 for side in (fast, slow)]
+        p_causes = stats.chi2_contingency(table).pvalue
+        assert p_causes > self.P_MIN, (labels, table)
+
+    def test_warm_cache_lookups_cost_nothing(self):
+        config = base_config(seed=3, clients=[
+            {"domain": "a.test", "process": {"kind": "poisson", "rate": 10.0}}])
+        sim = build_sim(config)
+        sim.advance(1e5)
+        fills = [r for r in refreshes(sim.log) if r[2] == "client"]
+        lookups = [e for e in sim.log if e.kind == "client_query"]
+        assert len(lookups) == len(fills) > 0
+        assert len(sim.log) <= 3 * len(fills)
 
 
 class TestCacheModel:
