@@ -11,7 +11,7 @@ from .corpus import (DomainEntry, DomainList, ObservationLog, ObservationWriter,
                      ParseError, ResolverUnreachable, liveness_filter,
                      load_domain_list, load_observations)
 from .engine import (DEFAULT_TUNING, INVALIDATING_KINDS, CycleError,
-                     DiscoveryBudgetExceeded,
+                     DiscoveryBudgetExceeded, DiscoveryMachine,
                      InconsistentTtl, InsufficientSeparation, MaxTtlEstimate,
                      NonMonotonicTtl, Rd0Machine, RdBehavior, RdNotHonored,
                      RefreshEvent, RefreshObservation, ServerPrefetches,

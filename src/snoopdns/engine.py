@@ -15,12 +15,13 @@ methods recover when a domain's record was last refreshed:
                  record (censored window) or some client did, with
                  first-arrival delay d = W - (max_ttl - T').
   timing         response-time classification for servers whose TTL
-                 values cannotot be trusted; needs calibration.
+                 values cannot be trusted; needs calibration.
 
-Probing machines are stepped by a scheduler rather than sleeping
-internally, so one thread can interleave many domains on either a
-virtual or the real clock. Single-cycle convenience wrappers drive one
-machine to its first result.
+Maximum-TTL discovery and the probing machines are stepped by a
+scheduler rather than sleeping internally, so one thread can interleave
+many domains on either a virtual or the real clock. discover_max_ttl
+and the single-cycle convenience wrappers drive one machine to its
+first result.
 """
 
 import statistics
@@ -295,68 +296,139 @@ def check_rd_behavior(prober: Prober, server: str, canary_domains: list[str]) ->
     return RdBehavior(server=server, honors_rd0=honors, evidence=evidence)
 
 
+def _check_countdown(last_ttl: int, last_at: float, ttl: int, at: float,
+                     tolerance: float) -> tuple[str, str] | None:
+    """Judge a pre-expiry checkpoint read against the countdown.
+
+    last_ttl was read at last_at; an honest cache answers at `at` with
+    about last_ttl - (at - last_at). Returns None when the read fits
+    the countdown, else (kind, message): "non_monotonic_ttl" when the
+    TTL has not moved across at least 2 s, "server_prefetches" when it
+    jumped upward ahead of expiry.
+    """
+    elapsed = at - last_at
+    expected = last_ttl - elapsed
+    if ttl <= expected + tolerance:
+        return None
+    if abs(ttl - last_ttl) <= 1 and elapsed >= 2.0:
+        return "non_monotonic_ttl", f"TTL stuck at {ttl} across {elapsed:.0f}s"
+    return ("server_prefetches",
+            f"TTL jumped to {ttl} with ~{max(expected, 0):.0f}s left before expiry")
+
+
+class DiscoveryMachine:
+    """Maximum-TTL discovery of one domain by expiry roll-over.
+
+    Reads the current TTL, then each round probes just past its expiry;
+    the expired record is re-fetched, so the new answer shows the full
+    maximum. Candidates are grid-snapped and the same value must be
+    seen required_confirmations times within
+    required_confirmations * discovery_round_factor rounds. A
+    checkpoint probe shortly before each expiry guards the countdown
+    (see _check_countdown). When done, `estimate` holds the result or
+    `error` the failure: a SnoopError, or the ProbeTimeout of a probe
+    that got no answer.
+    """
+
+    def __init__(self, prober: Prober, server: str, domain: str,
+                 required_confirmations: int = 5, tuning: Tuning = DEFAULT_TUNING):
+        if required_confirmations < 1:
+            raise ValueError("required_confirmations must be at least 1")
+        self.prober = prober
+        self.server = server
+        self.domain = domain
+        self.required = required_confirmations
+        self.tuning = tuning
+        self.done = False
+        self.estimate: MaxTtlEstimate | None = None
+        self.error: Exception | None = None
+        self._mode = "first"
+        self._last_ttl = 0
+        self._last_at = 0.0
+        self._counts: dict[int, int] = {}
+        self._snapped: dict[int, bool] = {}
+
+    def start_at(self, now: float) -> float:
+        return now
+
+    def step(self, now: float) -> tuple[float | None, list]:
+        if self.done:
+            return None, []
+        try:
+            return self._step(), []
+        except (SnoopError, ProbeTimeout) as exc:
+            self.error = exc
+            self.done = True
+            return None, []
+
+    def _step(self) -> float | None:
+        tuning = self.tuning
+        reply = self.prober.probe(self.server, self.domain, recursion_desired=True)
+        ttl = _answer_ttl(reply, self.domain)
+        if ttl is None:
+            if self._mode == "first":
+                raise UnresolvableDomain(f"{self.domain} returned no usable answer "
+                                         f"(rcode {reply.response.rcode})")
+            raise UnresolvableDomain(f"{self.domain} stopped resolving during discovery")
+
+        if self._mode == "checkpoint":
+            verdict = _check_countdown(self._last_ttl, self._last_at, ttl, reply.sent_at,
+                                       tuning.snap_tolerance)
+            if verdict is not None:
+                kind, message = verdict
+                raise _ERROR_TYPES[kind](f"{self.domain}: {message}")
+            self._mode = "rollover"
+            return reply.sent_at + ttl + tuning.post_expiry_epsilon
+
+        if self._mode == "rollover":
+            value, snapped = snap_to_grid(ttl, tuning.snap_grid, tuning.snap_tolerance)
+            self._counts[value] = self._counts.get(value, 0) + 1
+            self._snapped[value] = self._snapped.get(value, False) or snapped
+            if self._counts[value] >= self.required:
+                self.estimate = MaxTtlEstimate(
+                    server=self.server, domain=self.domain, max_ttl=value,
+                    confirmations=self._counts[value], snapped_to_grid=self._snapped[value],
+                    candidates_seen=dict(self._counts))
+                self.done = True
+                return None
+
+        max_rounds = self.required * tuning.discovery_round_factor
+        if sum(self._counts.values()) >= max_rounds:
+            raise DiscoveryBudgetExceeded(
+                f"{self.domain}: no TTL confirmed {self.required} times within "
+                f"{max_rounds} rounds; candidates seen: {self._counts}")
+        # next round: a checkpoint shortly before expiry unless the TTL is
+        # too short for one, then the roll-over read just past it
+        self._last_ttl, self._last_at = ttl, reply.sent_at
+        margin = tuning.checkpoint_margin
+        if ttl > margin + tuning.post_expiry_epsilon + 1.0:
+            self._mode = "checkpoint"
+            return reply.sent_at + ttl - margin
+        self._mode = "rollover"
+        return reply.sent_at + ttl + tuning.post_expiry_epsilon
+
+
 def discover_max_ttl(prober: Prober, clock: Clock, server: str, domain: str,
                      required_confirmations: int = 5,
                      tuning: Tuning = DEFAULT_TUNING) -> MaxTtlEstimate:
-    """Find a domain's maximum TTL on a server by expiry roll-over.
+    """Find one domain's maximum TTL on a server, sleeping between probes.
 
-    Reads the current TTL, sleeps until just past its expiry, and
-    re-queries; the expired record is re-fetched, so the new answer
-    shows the full maximum. Candidates are grid-snapped and the same
-    value must be seen required_confirmations times. A checkpoint probe
-    shortly before each expiry guards the countdown: a TTL that jumps
-    upward early raises ServerPrefetches, one that never moves raises
-    NonMonotonicTtl.
+    Drives a single DiscoveryMachine to its end. A TTL that jumps upward
+    before expiry raises ServerPrefetches, one that never moves
+    NonMonotonicTtl, no answer UnresolvableDomain, an unconfirmed
+    candidate DiscoveryBudgetExceeded, and an unanswered probe
+    ProbeTimeout. scan.discover_all runs many domains at once.
     """
-    if required_confirmations < 1:
-        raise ValueError("required_confirmations must be at least 1")
-    reply = prober.probe(server, domain, recursion_desired=True)
-    ttl = _answer_ttl(reply, domain)
-    if ttl is None:
-        raise UnresolvableDomain(
-            f"{domain} returned no usable answer (rcode {reply.response.rcode})")
-    last_ttl, last_at = ttl, reply.sent_at
-
-    counts: dict[int, int] = {}
-    snapped_seen: dict[int, bool] = {}
-    max_rounds = required_confirmations * tuning.discovery_round_factor
-    for _ in range(max_rounds):
-        expiry = last_at + last_ttl
-        margin = tuning.checkpoint_margin
-        if last_ttl > margin + tuning.post_expiry_epsilon + 1.0:
-            clock.sleep_until(expiry - margin)
-            check = prober.probe(server, domain, recursion_desired=True)
-            t_check = _answer_ttl(check, domain)
-            if t_check is None:
-                raise UnresolvableDomain(f"{domain} stopped resolving during discovery")
-            elapsed = check.sent_at - last_at
-            expected = last_ttl - elapsed
-            if t_check > expected + tuning.snap_tolerance:
-                if abs(t_check - last_ttl) <= 1 and elapsed >= 2.0:
-                    raise NonMonotonicTtl(
-                        f"{domain}: TTL stuck at {t_check} across {elapsed:.0f}s")
-                raise ServerPrefetches(
-                    f"{domain}: TTL jumped to {t_check} with ~{max(expected, 0):.0f}s "
-                    f"left before expiry")
-            last_ttl, last_at = t_check, check.sent_at
-            expiry = last_at + last_ttl
-        clock.sleep_until(expiry + tuning.post_expiry_epsilon)
-        rollover = prober.probe(server, domain, recursion_desired=True)
-        t_roll = _answer_ttl(rollover, domain)
-        if t_roll is None:
-            raise UnresolvableDomain(f"{domain} stopped resolving during discovery")
-        value, snapped = snap_to_grid(t_roll, tuning.snap_grid, tuning.snap_tolerance)
-        counts[value] = counts.get(value, 0) + 1
-        snapped_seen[value] = snapped_seen.get(value, False) or snapped
-        last_ttl, last_at = t_roll, rollover.sent_at
-        if counts[value] >= required_confirmations:
-            return MaxTtlEstimate(
-                server=server, domain=domain, max_ttl=value,
-                confirmations=counts[value], snapped_to_grid=snapped_seen[value],
-                candidates_seen=dict(counts))
-    raise DiscoveryBudgetExceeded(
-        f"{domain}: no TTL confirmed {required_confirmations} times within "
-        f"{max_rounds} rounds; candidates seen: {counts}")
+    machine = DiscoveryMachine(prober, server, domain,
+                               required_confirmations=required_confirmations,
+                               tuning=tuning)
+    wake = machine.start_at(clock.now())
+    while wake is not None:
+        clock.sleep_until(wake)
+        wake, _ = machine.step(clock.now())
+    if machine.error is not None:
+        raise machine.error
+    return machine.estimate
 
 
 def calibrate_timing(prober: Prober, server: str, calibration_domain: str,
@@ -521,23 +593,20 @@ class TtlRecursiveMachine:
             if got is None:
                 return (None if self.done else now + self._backoff(), items)
             reply, ttl = got
-            elapsed = reply.sent_at - (self._expiry - self._last_read)
-            expected = self._last_read - elapsed
-            if ttl > expected + self.tuning.snap_tolerance:
-                if abs(ttl - self._last_read) <= 1 and elapsed >= 2.0:
-                    items.append(self._error(reply.sent_at, "non_monotonic_ttl",
-                                             f"TTL stuck at {ttl} across {elapsed:.0f}s"))
-                    self._mode = "init"
-                    self._static_runs += 1
-                    if self._static_runs >= self.tuning.failure_limit:
-                        self.done = True
-                        return None, items
-                    return now + self._backoff(), items
-                items.append(self._error(
-                    reply.sent_at, "server_prefetches",
-                    f"TTL jumped to {ttl} with ~{max(expected, 0):.0f}s left before expiry"))
-                self.done = True
-                return None, items
+            verdict = _check_countdown(self._last_read, self._expiry - self._last_read,
+                                      ttl, reply.sent_at, self.tuning.snap_tolerance)
+            if verdict is not None:
+                kind, message = verdict
+                items.append(self._error(reply.sent_at, kind, message))
+                if kind == "server_prefetches":
+                    self.done = True
+                    return None, items
+                self._mode = "init"
+                self._static_runs += 1
+                if self._static_runs >= self.tuning.failure_limit:
+                    self.done = True
+                    return None, items
+                return now + self._backoff(), items
             self._static_runs = 0
             self._mode = "window"
             return self._expiry + self.window, items

@@ -1,25 +1,28 @@
 """Multi-domain scan orchestration.
 
-One thread interleaves every domain's probing machine through a wake
-time heap: pop the earliest machine, sleep to its wake, step it, push
-it back. On a virtual clock this replays identically for a given seed;
-on the system clock the rate limiter inside the prober keeps aggregate
-query rate at the configured cap either way.
+One thread interleaves every domain's machine through a wake-time
+heap: pop the earliest machine, sleep to its wake, step it, push it
+back. Maximum-TTL discovery and snooping both run on it, so every
+domain waits out its expiries at the same time as the others. On a
+virtual clock this replays identically for a given seed; on the system
+clock the rate limiter inside the prober keeps aggregate query rate at
+the configured cap either way.
 """
 
 import heapq
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .clock import Clock, VirtualClock
 from .corpus import ObservationWriter
 from .engine import (DEFAULT_TUNING, INVALIDATING_KINDS, CycleError,
-                     MaxTtlEstimate, RefreshObservation, SnoopError,
-                     TimingCalibration, Tuning, build_machine, discover_max_ttl)
+                     DiscoveryMachine, MaxTtlEstimate, RefreshObservation,
+                     TimingCalibration, Tuning, build_machine)
 from .estimation import (ArrivalEstimate, DomainStats, aggregate, estimate,
                          rank_domains, spearman_rho)
 from .simnet import Sim, SimConfig, SimExchange, build_sim, config_from_dict
-from .transport import Prober, ProbeTimeout
+from .transport import Prober
 
 
 @dataclass
@@ -36,23 +39,59 @@ class ScanResult:
         return aggregate(self.observations)
 
 
+def _run_machines(clock: Clock, machines: list, start: float,
+                  emit: Callable[[list], None] | None = None, *,
+                  deadline: float | None = None,
+                  max_cycles: int | None = None) -> None:
+    """Step machines in wake-time order until each is done or retired.
+
+    Ties go to the machine queued first. emit receives every non-empty
+    item list a step returns. A machine whose next wake lands past the
+    deadline, or that has completed max_cycles cycles, is retired.
+    """
+    heap = [(machine.start_at(start), seq, machine)
+            for seq, machine in enumerate(machines)]
+    heapq.heapify(heap)
+    seq = len(heap)
+    while heap:
+        wake, _, machine = heapq.heappop(heap)
+        if deadline is not None and wake > deadline:
+            continue
+        if max_cycles is not None and machine.cycles_completed >= max_cycles:
+            continue
+        clock.sleep_until(wake)
+        next_wake, items = machine.step(clock.now())
+        if items and emit is not None:
+            emit(items)
+        if next_wake is None or machine.done:
+            continue
+        heapq.heappush(heap, (next_wake, seq, machine))
+        seq += 1
+
+
 def discover_all(prober: Prober, clock: Clock, server: str, domains: list[str],
                  required_confirmations: int = 5, tuning: Tuning = DEFAULT_TUNING,
                  ) -> tuple[dict[str, MaxTtlEstimate], dict[str, str]]:
-    """Discover the maximum TTL of each domain, sequentially.
+    """Discover the maximum TTL of every domain at once.
 
+    Each domain's DiscoveryMachine runs on one wake-time heap, so the
+    whole list costs about (required_confirmations + 1) x its largest
+    maximum TTL of clock time, plus whatever the rate limit adds.
     Returns (found, failed); a failed discovery records the error text
-    and excludes the domain without stopping the rest.
+    and excludes the domain without delaying the rest.
     """
+    machines = [DiscoveryMachine(prober, server, domain,
+                                 required_confirmations=required_confirmations,
+                                 tuning=tuning)
+                for domain in domains]
+    _run_machines(clock, machines, clock.now())
     found: dict[str, MaxTtlEstimate] = {}
     failed: dict[str, str] = {}
-    for domain in domains:
-        try:
-            found[domain] = discover_max_ttl(
-                prober, clock, server, domain,
-                required_confirmations=required_confirmations, tuning=tuning)
-        except (SnoopError, ProbeTimeout) as exc:
-            failed[domain] = f"{type(exc).__name__}: {exc}"
+    for machine in machines:
+        if machine.error is not None:
+            failed[machine.domain] = f"{type(machine.error).__name__}: {machine.error}"
+        else:
+            found[machine.domain] = machine.estimate
     return found, failed
 
 
@@ -82,26 +121,15 @@ def run_scan(prober: Prober, clock: Clock, server: str, domains: list[str], *,
 
     start = clock.now()
     result = ScanResult(server=server, method=method, started_at=start)
-    heap: list[tuple[float, int, object]] = []
-    seq = 0
+    machines = []
     for domain in domains:
         ttl = int(max_ttls[domain])
-        machine = build_machine(
+        machines.append(build_machine(
             method, prober, server, domain, max_ttl=ttl,
             window=window_fraction * ttl, probe_interval=probe_interval,
-            calibration=(calibrations or {}).get(domain), tuning=tuning)
-        heapq.heappush(heap, (machine.start_at(start), seq, machine))
-        seq += 1
+            calibration=(calibrations or {}).get(domain), tuning=tuning))
 
-    deadline = None if duration is None else start + duration
-    while heap:
-        wake, _, machine = heapq.heappop(heap)
-        if deadline is not None and wake > deadline:
-            continue
-        if max_cycles is not None and machine.cycles_completed >= max_cycles:
-            continue
-        clock.sleep_until(wake)
-        next_wake, items = machine.step(clock.now())
+    def emit(items: list) -> None:
         for item in items:
             if isinstance(item, RefreshObservation):
                 result.observations.append(item)
@@ -111,10 +139,10 @@ def run_scan(prober: Prober, clock: Clock, server: str, domains: list[str], *,
                     result.aborted[item.domain] = item.message
             if writer is not None:
                 writer.write(item)
-        if next_wake is None or machine.done:
-            continue
-        heapq.heappush(heap, (next_wake, seq, machine))
-        seq += 1
+
+    _run_machines(clock, machines, start, emit,
+                  deadline=None if duration is None else start + duration,
+                  max_cycles=max_cycles)
 
     if result.aborted:
         result.observations = [o for o in result.observations

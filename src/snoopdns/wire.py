@@ -18,6 +18,8 @@ MAX_NAME_WIRE_LEN = 255
 MAX_TTL = 2**31 - 1  # TTLs with the top bit set are a protocol error
 
 HEADER = struct.Struct(">HHHHHH")
+QUESTION_TAIL = struct.Struct(">HH")  # qtype, qclass
+RECORD_FIXED = struct.Struct(">HHIH")  # rtype, class, ttl, rdlength
 
 FLAG_QR = 0x8000
 FLAG_AA = 0x0400
@@ -158,7 +160,7 @@ def encode_query(query: DnsQuery) -> bytes:
         raise ValueError(f"query id out of range: {query.id}")
     flags = FLAG_RD if query.recursion_desired else 0
     header = HEADER.pack(query.id, flags, 1, 0, 0, 0)
-    question = encode_name(query.qname) + struct.pack(">HH", query.qtype, query.qclass)
+    question = encode_name(query.qname) + QUESTION_TAIL.pack(query.qtype, query.qclass)
     return header + question
 
 
@@ -186,7 +188,7 @@ def encode_response(
     out = bytearray(HEADER.pack(query_id, flags, qdcount, len(answers), 0, 0))
     if question is not None:
         out += encode_name(question.qname)
-        out += struct.pack(">HH", question.qtype, question.qclass)
+        out += QUESTION_TAIL.pack(question.qtype, question.qclass)
     for rr in answers:
         if not 0 <= rr.ttl <= MAX_TTL:
             raise ValueError(f"record ttl out of range: {rr.ttl}")
@@ -194,7 +196,7 @@ def encode_response(
         if rr.rtype == RecordType.CNAME and rr.cname_target is not None:
             rdata = encode_name(rr.cname_target)
         out += encode_name(rr.name)
-        out += struct.pack(">HHIH", rr.rtype, RecordClass.IN, rr.ttl, len(rdata))
+        out += RECORD_FIXED.pack(rr.rtype, RecordClass.IN, rr.ttl, len(rdata))
         out += rdata
     return bytes(out)
 
@@ -210,22 +212,11 @@ class _Reader:
         if self.pos + n > len(self.data):
             raise Malformed("packet truncated")
 
-    def u8(self) -> int:
-        self.need(1)
-        v = self.data[self.pos]
-        self.pos += 1
-        return v
-
-    def u16(self) -> int:
-        self.need(2)
-        v = int.from_bytes(self.data[self.pos : self.pos + 2], "big")
-        self.pos += 2
-        return v
-
-    def u32(self) -> int:
-        self.need(4)
-        v = int.from_bytes(self.data[self.pos : self.pos + 4], "big")
-        self.pos += 4
+    def fields(self, layout: struct.Struct) -> tuple:
+        """Read fixed-width fields in one call."""
+        self.need(layout.size)
+        v = layout.unpack_from(self.data, self.pos)
+        self.pos += layout.size
         return v
 
     def take(self, n: int) -> bytes:
@@ -286,12 +277,10 @@ class _Reader:
 
 def _parse_record(reader: _Reader) -> ResourceRecord:
     name = reader.read_name()
-    rtype = reader.u16()
-    reader.u16()  # class, kept implicit (IN only in practice)
-    ttl = reader.u32()
+    # class is kept implicit (IN only in practice)
+    rtype, _, ttl, rdlen = reader.fields(RECORD_FIXED)
     if ttl > MAX_TTL:
         raise Malformed(f"ttl above 2^31-1: {ttl}")
-    rdlen = reader.u16()
     rd_start = reader.pos
     rdata = reader.take(rdlen)
     cname_target = None
@@ -318,18 +307,12 @@ def decode_response(packet: bytes) -> DnsResponse:
     if len(packet) < 12:
         raise Malformed(f"packet shorter than header: {len(packet)} bytes")
     reader = _Reader(packet)
-    qid = reader.u16()
-    flags = reader.u16()
-    qdcount = reader.u16()
-    ancount = reader.u16()
-    nscount = reader.u16()
-    arcount = reader.u16()
+    qid, flags, qdcount, ancount, nscount, arcount = reader.fields(HEADER)
 
     question = None
     for i in range(qdcount):
         qname = reader.read_name()
-        qtype = reader.u16()
-        qclass = reader.u16()
+        qtype, qclass = reader.fields(QUESTION_TAIL)
         if i == 0:
             question = DnsQuestion(qname=qname, qtype=qtype, qclass=qclass)
     answers = [_parse_record(reader) for _ in range(ancount)]
@@ -352,17 +335,11 @@ def decode_query(packet: bytes) -> DnsQuery:
     if len(packet) < 12:
         raise Malformed(f"packet shorter than header: {len(packet)} bytes")
     reader = _Reader(packet)
-    qid = reader.u16()
-    flags = reader.u16()
-    qdcount = reader.u16()
-    reader.u16()
-    reader.u16()
-    reader.u16()
+    qid, flags, qdcount, _, _, _ = reader.fields(HEADER)
     if qdcount != 1:
         raise Malformed(f"expected exactly one question, got {qdcount}")
     qname = reader.read_name()
-    qtype = reader.u16()
-    qclass = reader.u16()
+    qtype, qclass = reader.fields(QUESTION_TAIL)
     return DnsQuery(
         id=qid,
         qname=qname,

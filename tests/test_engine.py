@@ -4,7 +4,8 @@ import pytest
 
 from snoopdns import engine
 from snoopdns.clock import VirtualClock
-from snoopdns.engine import (DiscoveryBudgetExceeded, InconsistentTtl,
+from snoopdns.engine import (DiscoveryBudgetExceeded, DiscoveryMachine,
+                             InconsistentTtl,
                              InsufficientSeparation, NonMonotonicTtl,
                              Rd0Machine, RdNotHonored, RefreshObservation,
                              ServerPrefetches, TimingCalibration, TtlExceedsMax,
@@ -158,6 +159,40 @@ class TestDiscoverMaxTtl:
         prober, clock, _ = scripted(["timeout"])
         with pytest.raises(ProbeTimeout):
             discover_max_ttl(prober, clock, "sim", "a.test")
+
+
+class TestDiscoveryMachine:
+    def test_plans_each_wake_instead_of_sleeping(self, scripted):
+        prober, clock, exchange = scripted([240, 2, 240, 2, 240], rtt_ms=0.0)
+        machine = DiscoveryMachine(prober, "sim", "a.test", required_confirmations=2)
+        wakes = []
+        wake = machine.start_at(clock.now())
+        while wake is not None:
+            clock.sleep_until(wake)
+            woke = clock.now()
+            wake, items = machine.step(woke)
+            assert clock.now() == woke  # zero RTT: the step itself never waits
+            assert items == []
+            wakes.append(wake)
+        # first read, then per round a checkpoint 2 s before expiry and
+        # a roll-over read 1 s after it
+        assert wakes == [238.0, 241.0, 479.0, 482.0, None]
+        assert machine.done and machine.error is None
+        assert machine.estimate.candidates_seen == {240: 2}
+
+    def test_failure_is_kept_for_the_caller(self, scripted):
+        prober, clock, _ = scripted([None])
+        machine = DiscoveryMachine(prober, "sim", "a.test")
+        assert machine.step(clock.now()) == (None, [])
+        assert machine.done
+        assert isinstance(machine.error, UnresolvableDomain)
+        assert "no usable answer" in str(machine.error)
+        assert machine.estimate is None
+
+    def test_confirmations_must_be_positive(self, scripted):
+        prober, _, _ = scripted([])
+        with pytest.raises(ValueError, match="required_confirmations"):
+            DiscoveryMachine(prober, "sim", "a.test", required_confirmations=0)
 
 
 class TestRunCycleTtlRecursive:

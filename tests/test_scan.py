@@ -6,8 +6,10 @@ import random
 
 import pytest
 
+from snoopdns import wire
 from snoopdns.clock import VirtualClock
 from snoopdns.corpus import ObservationWriter
+from snoopdns.engine import discover_max_ttl
 from snoopdns.scan import (BatchResult, ScanResult, discover_all, run_batch,
                            run_scan, true_client_rates)
 from snoopdns.simnet import SimExchange, build_sim, config_from_dict
@@ -138,6 +140,45 @@ class TestRunScan:
         assert all(line["scan_id"] == "scan-w" for line in lines)
 
 
+# twenty client-free domains with maxima 15, 30, ..., 300 s
+QUIET_TTLS = {f"d{ttl:03d}.test": ttl for ttl in range(15, 301, 15)}
+CONFIRMATIONS = 5
+
+
+def quiet_config(ttls=QUIET_TTLS, **overrides):
+    config = {"seed": 5, "clients": [],
+              "zones": {name: {"address": "10.0.0.1", "ttl": ttl}
+                        for name, ttl in ttls.items()}}
+    config.update(overrides)
+    return config
+
+
+class RoutingExchange:
+    """Sends each query to the simulator that owns its name."""
+
+    def __init__(self, routes, default):
+        self.routes = routes
+        self.default = default
+
+    def exchange(self, server, payload, timeout):
+        qname = wire.decode_query(payload).qname
+        return self.routes.get(qname, self.default).exchange(server, payload, timeout)
+
+
+def estimates_alone(config, domains):
+    """What discover_max_ttl finds for each domain on a resolver of its own."""
+    alone = {}
+    for domain in domains:
+        prober, clock, _ = sim_prober(config)
+        alone[domain] = discover_max_ttl(prober, clock, "sim", domain,
+                                         required_confirmations=CONFIRMATIONS)
+    return alone
+
+
+def summary(estimate):
+    return estimate.max_ttl, estimate.confirmations, estimate.candidates_seen
+
+
 class TestDiscoverAll:
     def test_failures_are_recorded_without_stopping_the_rest(self):
         config = two_zone_config(clients=[])
@@ -148,6 +189,49 @@ class TestDiscoverAll:
         assert found["alpha.test"].max_ttl == 60
         assert "missing.test" in failed
         assert "UnresolvableDomain" in failed["missing.test"]
+
+    def test_domains_wait_out_their_expiries_together(self):
+        prober, clock, _ = sim_prober(quiet_config())
+        found, failed = discover_all(prober, clock, "sim", list(QUIET_TTLS),
+                                     required_confirmations=CONFIRMATIONS)
+        assert failed == {}
+        assert {d: e.max_ttl for d, e in found.items()} == QUIET_TTLS
+        # one read plus one roll-over per confirmation, all domains at
+        # once; one after another this would take about ten times longer
+        assert clock.now() <= (CONFIRMATIONS + 1) * (max(QUIET_TTLS.values()) + 2)
+
+    def test_each_domain_finds_what_it_finds_alone(self):
+        prober, clock, _ = sim_prober(quiet_config())
+        found, _ = discover_all(prober, clock, "sim", list(QUIET_TTLS),
+                                required_confirmations=CONFIRMATIONS)
+        alone = estimates_alone(quiet_config(), QUIET_TTLS)
+        assert {d: summary(e) for d, e in found.items()} == {
+            d: summary(e) for d, e in alone.items()}
+        assert all(e.candidates_seen == {e.max_ttl: CONFIRMATIONS}
+                   for e in found.values())
+
+    def test_failing_domains_neither_stop_nor_delay_the_rest(self):
+        clock = VirtualClock()
+        quiet = build_sim(config_from_dict(quiet_config()), start_time=clock.now())
+        prefetching = build_sim(config_from_dict(quiet_config(
+            {"prefetch.test": 300},
+            anomaly={"kind": "pre_refresh", "remaining_low": 3.0,
+                     "remaining_high": 5.0})), start_time=clock.now())
+        exchange = RoutingExchange({"prefetch.test": SimExchange(prefetching, clock)},
+                                   default=SimExchange(quiet, clock))
+        prober = Prober(transport=exchange, clock=clock, rng=random.Random(99))
+        domains = ["missing.test", "prefetch.test", *QUIET_TTLS]
+        found, failed = discover_all(prober, clock, "sim", domains,
+                                     required_confirmations=CONFIRMATIONS)
+        assert set(failed) == {"missing.test", "prefetch.test"}
+        assert failed["missing.test"].startswith(
+            "UnresolvableDomain: missing.test returned no usable answer")
+        assert failed["prefetch.test"].startswith(
+            "ServerPrefetches: prefetch.test: TTL jumped to")
+        alone = estimates_alone(quiet_config(), QUIET_TTLS)
+        assert {d: summary(e) for d, e in found.items()} == {
+            d: summary(e) for d, e in alone.items()}
+        assert clock.now() <= (CONFIRMATIONS + 1) * (max(QUIET_TTLS.values()) + 2)
 
 
 class TestTrueClientRates:

@@ -224,3 +224,16 @@ class TestHostilePackets:
             wire.decode_response(bytes(base))
         except wire.Malformed:
             pass
+
+    def test_every_truncated_prefix_is_malformed(self):
+        # fixed-width fields are read in blocks; a cut inside any of them
+        # must still surface as Malformed, never as struct.error
+        whole = wire.encode_response(
+            0xBEEF, wire.DnsQuestion(qname="www.a.bc"),
+            [wire.ResourceRecord("www.a.bc", wire.RecordType.CNAME, 300, b"",
+                                 cname_target="a.bc"),
+             wire.ResourceRecord("a.bc", wire.RecordType.A, 60, b"\x0a\0\0\x01")])
+        assert len(wire.decode_response(whole).answers) == 2
+        for cut in range(len(whole)):
+            with pytest.raises(wire.Malformed):
+                wire.decode_response(whole[:cut])
