@@ -302,14 +302,19 @@ def _check_countdown(last_ttl: int, last_at: float, ttl: int, at: float,
 
     last_ttl was read at last_at; an honest cache answers at `at` with
     about last_ttl - (at - last_at). Returns None when the read fits
-    the countdown, else (kind, message): "non_monotonic_ttl" when the
-    TTL has not moved across at least 2 s, "server_prefetches" when it
-    jumped upward ahead of expiry.
+    the countdown, else (kind, message): "checkpoint_late" when the read
+    was sent less than a second before the expiry it guards, or after
+    it, so the record may have been re-fetched; "non_monotonic_ttl"
+    when the TTL has not moved across at least 2 s; "server_prefetches"
+    when it jumped upward ahead of expiry.
     """
     elapsed = at - last_at
     expected = last_ttl - elapsed
     if ttl <= expected + tolerance:
         return None
+    if expected < 1.0:
+        return ("checkpoint_late",
+                f"checkpoint sent {elapsed:.1f}s after a read of TTL {last_ttl}")
     if abs(ttl - last_ttl) <= 1 and elapsed >= 2.0:
         return "non_monotonic_ttl", f"TTL stuck at {ttl} across {elapsed:.0f}s"
     return ("server_prefetches",
@@ -374,11 +379,15 @@ class DiscoveryMachine:
         if self._mode == "checkpoint":
             verdict = _check_countdown(self._last_ttl, self._last_at, ttl, reply.sent_at,
                                        tuning.snap_tolerance)
-            if verdict is not None:
-                kind, message = verdict
+            if verdict is None:
+                self._mode = "rollover"
+                return reply.sent_at + ttl + tuning.post_expiry_epsilon
+            kind, message = verdict
+            if kind != "checkpoint_late":
                 raise _ERROR_TYPES[kind](f"{self.domain}: {message}")
+            # a busy scheduler sent the checkpoint once the record had
+            # expired: it re-fetched the record, so it is the roll-over read
             self._mode = "rollover"
-            return reply.sent_at + ttl + tuning.post_expiry_epsilon
 
         if self._mode == "rollover":
             value, snapped = snap_to_grid(ttl, tuning.snap_grid, tuning.snap_tolerance)
@@ -598,6 +607,10 @@ class TtlRecursiveMachine:
             if verdict is not None:
                 kind, message = verdict
                 items.append(self._error(reply.sent_at, kind, message))
+                if kind == "checkpoint_late":
+                    # the record may have been re-fetched since expiry, so
+                    # no window can be watched: start over from this read
+                    return self._arm(reply.sent_at, ttl), items
                 if kind == "server_prefetches":
                     self.done = True
                     return None, items

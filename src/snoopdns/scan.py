@@ -76,9 +76,12 @@ def discover_all(prober: Prober, clock: Clock, server: str, domains: list[str],
 
     Each domain's DiscoveryMachine runs on one wake-time heap, so the
     whole list costs about (required_confirmations + 1) x its largest
-    maximum TTL of clock time, plus whatever the rate limit adds.
-    Returns (found, failed); a failed discovery records the error text
-    and excludes the domain without delaying the rest.
+    maximum TTL of clock time while the prober's rate limit keeps up;
+    a longer list takes its probe count divided by the rate. Returns
+    (found, failed); a failed discovery records the error text and
+    excludes the domain. Its retries can hold the queue, but a
+    checkpoint they push past its expiry serves as that round's
+    roll-over read, so no other domain fails for it.
     """
     machines = [DiscoveryMachine(prober, server, domain,
                                  required_confirmations=required_confirmations,

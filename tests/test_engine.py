@@ -9,7 +9,7 @@ from snoopdns.engine import (DiscoveryBudgetExceeded, DiscoveryMachine,
                              InsufficientSeparation, NonMonotonicTtl,
                              Rd0Machine, RdNotHonored, RefreshObservation,
                              ServerPrefetches, TimingCalibration, TtlExceedsMax,
-                             UnresolvableDomain, calibrate_timing,
+                             TtlRecursiveMachine, UnresolvableDomain, calibrate_timing,
                              check_rd_behavior, classify_timing,
                              classify_window_read, discover_max_ttl,
                              run_cycle_ttl_recursive, run_probe_rd0,
@@ -180,6 +180,31 @@ class TestDiscoveryMachine:
         assert machine.done and machine.error is None
         assert machine.estimate.candidates_seen == {240: 2}
 
+    def test_a_checkpoint_sent_after_expiry_is_the_roll_over_read(self, scripted):
+        prober, clock, _ = scripted([240, 240, 2, 240], rtt_ms=0.0)
+        machine = DiscoveryMachine(prober, "sim", "a.test", required_confirmations=2)
+        assert machine.step(clock.now()) == (238.0, [])
+        # a busy scheduler runs the checkpoint 5 s past the expiry; the
+        # record was re-fetched at the maximum, which counts as a round
+        clock.sleep_until(245.0)
+        assert machine.step(clock.now()) == (483.0, [])
+        assert machine.error is None
+        clock.sleep_until(483.0)
+        assert machine.step(clock.now()) == (486.0, [])
+        clock.sleep_until(486.0)
+        assert machine.step(clock.now()) == (None, [])
+        assert machine.error is None
+        assert machine.estimate.candidates_seen == {240: 2}
+
+    def test_a_late_checkpoint_over_a_second_before_expiry_is_judged(self, scripted):
+        prober, clock, _ = scripted([240, 240], rtt_ms=0.0)
+        machine = DiscoveryMachine(prober, "sim", "a.test", required_confirmations=2)
+        machine.step(clock.now())
+        clock.sleep_until(238.5)  # 1.5 s left: the record cannot have expired
+        assert machine.step(clock.now()) == (None, [])
+        assert isinstance(machine.error, NonMonotonicTtl)
+        assert str(machine.error) == "a.test: TTL stuck at 240 across 238s"
+
     def test_failure_is_kept_for_the_caller(self, scripted):
         prober, clock, _ = scripted([None])
         machine = DiscoveryMachine(prober, "sim", "a.test")
@@ -232,6 +257,22 @@ class TestRunCycleTtlRecursive:
         with pytest.raises(ValueError):
             run_cycle_ttl_recursive(prober, clock, "sim", "a.test",
                                     max_ttl=300, window=301.0)
+
+
+class TestTtlRecursiveMachine:
+    def test_a_checkpoint_sent_after_expiry_starts_the_cycle_over(self, scripted):
+        prober, clock, _ = scripted([300, 300], rtt_ms=0.0)
+        machine = TtlRecursiveMachine(prober, "sim", "a.test", max_ttl=300,
+                                      window=300.0)
+        assert machine.step(clock.now()) == (298.0, [])
+        clock.sleep_until(305.0)
+        wake, items = machine.step(clock.now())
+        # no window can be watched from a record re-fetched after expiry:
+        # the read is noted and arms the next checkpoint
+        assert [(i.kind, i.message) for i in items] == [
+            ("checkpoint_late", "checkpoint sent 305.0s after a read of TTL 300")]
+        assert wake == 603.0
+        assert not machine.done
 
 
 class TestSnoopDomainTtlRecursive:

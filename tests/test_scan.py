@@ -9,11 +9,12 @@ import pytest
 from snoopdns import wire
 from snoopdns.clock import VirtualClock
 from snoopdns.corpus import ObservationWriter
+from snoopdns.ratelimit import RateLimiter
 from snoopdns.engine import discover_max_ttl
 from snoopdns.scan import (BatchResult, ScanResult, discover_all, run_batch,
                            run_scan, true_client_rates)
 from snoopdns.simnet import SimExchange, build_sim, config_from_dict
-from snoopdns.transport import Prober
+from snoopdns.transport import Prober, ProbeTimeout
 
 
 def two_zone_config(**overrides):
@@ -82,6 +83,26 @@ class TestRunScan:
                 max_ttls={"alpha.test": 60, "beta.test": 60}, duration=2400))
         assert results[0].observations == results[1].observations
         assert results[0].errors == results[1].errors
+
+    def test_a_lost_domain_delays_no_neighbour_into_an_error(self):
+        # the lost domain's checkpoint retries hold the rate-capped queue
+        # for 8 s, past the expiries its neighbours' checkpoints guard
+        ttls = {**BURST_TTLS, "lost.test": 300}
+        clock = VirtualClock()
+        sim = build_sim(config_from_dict(quiet_config(ttls)), start_time=clock.now())
+        prober = Prober(transport=DroppingExchange(SimExchange(sim, clock), clock,
+                                                   "lost.test"),
+                        clock=clock, rng=random.Random(99),
+                        limiter=RateLimiter(10, clock))
+        result = run_scan(prober, clock, "sim", ["lost.test", *BURST_TTLS],
+                          max_ttls=ttls, duration=1000)
+        assert result.aborted == {}
+        assert {e.kind for e in result.errors if e.domain == "lost.test"} == {"timeout"}
+        assert {e.kind for e in result.errors
+                if e.domain != "lost.test"} <= {"checkpoint_late"}
+        observed = {o.domain for o in result.observations}
+        assert observed == set(BURST_TTLS)
+        assert all(o.censored for o in result.observations)
 
     def test_duration_budget_drops_the_late_partial_cycle(self):
         prober, clock, _ = sim_prober(two_zone_config(clients=[]))
@@ -165,6 +186,30 @@ class RoutingExchange:
         return self.routes.get(qname, self.default).exchange(server, payload, timeout)
 
 
+class DroppingExchange:
+    """Answers a name's first `answered` queries, then loses the rest,
+    holding the sender for the whole timeout as a lost UDP probe does."""
+
+    def __init__(self, inner, clock, name, answered=1):
+        self.inner = inner
+        self.clock = clock
+        self.name = name
+        self.answered = answered
+
+    def exchange(self, server, payload, timeout):
+        if wire.decode_query(payload).qname == self.name:
+            if self.answered <= 0:
+                self.clock.sleep(timeout)
+                raise ProbeTimeout(f"no response from {server} within {timeout}s")
+            self.answered -= 1
+        return self.inner.exchange(server, payload, timeout)
+
+
+# a hundred client-free domains: their first reads all come back at the
+# maximum, so their expiries arrive in bursts
+BURST_TTLS = {f"b{i:03d}.test": (60, 120, 300)[i % 3] for i in range(100)}
+
+
 def estimates_alone(config, domains):
     """What discover_max_ttl finds for each domain on a resolver of its own."""
     alone = {}
@@ -232,6 +277,32 @@ class TestDiscoverAll:
         assert {d: summary(e) for d, e in found.items()} == {
             d: summary(e) for d, e in alone.items()}
         assert clock.now() <= (CONFIRMATIONS + 1) * (max(QUIET_TTLS.values()) + 2)
+
+    @pytest.mark.parametrize("lost", [False, True])
+    def test_a_rate_capped_burst_finds_every_domain(self, lost):
+        # at 10 queries/s a burst of expiries queues checkpoints past the
+        # expiries they guard; a lost domain's retries hold the queue 8 s
+        clock = VirtualClock()
+        sim = build_sim(config_from_dict(quiet_config({**BURST_TTLS, "lost.test": 300})),
+                        start_time=clock.now())
+        exchange = SimExchange(sim, clock)
+        if lost:
+            exchange = DroppingExchange(exchange, clock, "lost.test")
+        prober = Prober(transport=exchange, clock=clock, rng=random.Random(99),
+                        limiter=RateLimiter(10, clock))
+        domains = [*BURST_TTLS, "lost.test"]
+        found, failed = discover_all(prober, clock, "sim", domains,
+                                     required_confirmations=CONFIRMATIONS)
+        if lost:
+            assert set(failed) == {"lost.test"}
+            assert failed["lost.test"].startswith("ProbeTimeout: ")
+        else:
+            assert failed == {}
+        alone = estimates_alone(quiet_config(BURST_TTLS), BURST_TTLS)
+        assert {d: summary(found[d]) for d in BURST_TTLS} == {
+            d: summary(e) for d, e in alone.items()}
+        assert all(found[d].candidates_seen == {ttl: CONFIRMATIONS}
+                   for d, ttl in BURST_TTLS.items())
 
 
 class TestTrueClientRates:
