@@ -37,4 +37,32 @@ from .wire import (DnsQuery, DnsResponse, InvalidName, Malformed, Rcode,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "Clock", "SystemClock", "VirtualClock",
+    "DomainEntry", "DomainList", "ObservationLog", "ObservationWriter",
+    "ParseError", "ResolverUnreachable", "liveness_filter", "load_domain_list",
+    "load_observations",
+    "DEFAULT_TUNING", "INVALIDATING_KINDS", "CycleError",
+    "DiscoveryBudgetExceeded", "DiscoveryMachine", "InconsistentTtl",
+    "InsufficientSeparation", "MaxTtlEstimate", "NonMonotonicTtl",
+    "Rd0Machine", "RdBehavior", "RdNotHonored", "RefreshEvent",
+    "RefreshObservation", "ServerPrefetches", "SnoopError",
+    "TimingCalibration", "TimingMachine", "TtlExceedsMax",
+    "TtlRecursiveMachine", "Tuning", "UnresolvableDomain", "build_machine",
+    "calibrate_timing", "check_rd_behavior", "classify_timing",
+    "classify_window_read", "discover_max_ttl", "run_cycle_ttl_recursive",
+    "run_probe_rd0", "snap_to_grid", "snoop_domain", "ttl_grace",
+    "ArrivalEstimate", "DomainStats", "NoObservations", "aggregate",
+    "estimate", "format_ranking_table", "poisson_pmf", "rank_domains",
+    "spearman_rho", "write_ranking_csv",
+    "RateLimiter",
+    "BatchResult", "ScanResult", "discover_all", "run_batch", "run_scan",
+    "true_client_rates",
+    "ConfigError", "Sim", "SimConfig", "SimExchange", "UdpSimServer",
+    "build_sim", "config_from_dict", "load_scenario", "serve_udp",
+    "ProbeReply", "Prober", "ProbeTimeout", "UdpExchange",
+    "DnsQuery", "DnsResponse", "InvalidName", "Malformed", "Rcode",
+    "RecordType", "ResourceRecord", "decode_query", "decode_response",
+    "encode_query", "encode_response", "min_answer_ttl", "normalize_name",
+    "validate_name",
+]

@@ -151,13 +151,13 @@ class MaxTtlEstimate:
     candidates_seen: dict[int, int] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class RefreshEvent:
     delay_after_expiry: float
     inferred_refresh_time: float
 
 
-@dataclass
+@dataclass(slots=True)
 class RefreshObservation:
     """One probing cycle's outcome for a domain.
 
@@ -193,7 +193,7 @@ class RefreshObservation:
                 raise ValueError("inferred refresh time outside the window")
 
 
-@dataclass
+@dataclass(slots=True)
 class CycleError:
     """A per-cycle anomaly annotated into the observation stream."""
 

@@ -36,6 +36,7 @@ import socket
 import threading
 import time as _time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import wire
 
@@ -109,8 +110,10 @@ class SimConfig:
     clock_mode: str = "virtual"  # or "realtime"
 
 
-@dataclass(frozen=True)
-class SimEvent:
+class SimEvent(NamedTuple):
+    """One log entry, an immutable tuple: cheap to build, as the
+    simulator logs one per probe, refresh, expiry and drawn lookup."""
+
     at: float
     # client_query | cache_refresh | probe_query | expiry; a client_query is
     # every periodic lookup, but only the cache-changing Poisson lookups
@@ -320,7 +323,7 @@ class Sim:
             elif kind == "expiry":
                 domain, generation = payload
                 if self._is_current(domain, generation):
-                    self.log.append(SimEvent(at=at, kind="expiry", domain=domain))
+                    self.log.append(SimEvent(at, "expiry", domain))
             elif kind == "prefetch":
                 domain, generation = payload
                 if self._is_current(domain, generation) and self.cache[domain].expires_at > at:
@@ -363,7 +366,7 @@ class Sim:
             entry.refreshed_at = at
             entry.expires_at = at + max_ttl
             entry.max_ttl = max_ttl
-        self.log.append(SimEvent(at=at, kind="cache_refresh", domain=domain, cause=cause))
+        self.log.append(SimEvent(at, "cache_refresh", domain, cause))
         self._schedule(entry.expires_at, "expiry", (domain, entry.generation))
         rate = self._poisson_rate.get(domain)
         if rate:
@@ -390,7 +393,7 @@ class Sim:
         return max(0.0, entry.expires_at - at)
 
     def _client_lookup(self, at: float, domain: str) -> None:
-        self.log.append(SimEvent(at=at, kind="client_query", domain=domain))
+        self.log.append(SimEvent(at, "client_query", domain))
         remaining = self._remaining(domain, at)
         anomaly = self.config.anomaly
         if remaining > 0:
@@ -427,7 +430,7 @@ class Sim:
             raise ValueError(f"query at {at} is before simulation time {self.time}")
         self._advance_to(at)
         domain = wire.normalize_name(query.qname)
-        self.log.append(SimEvent(at=at, kind="probe_query", domain=domain))
+        self.log.append(SimEvent(at, "probe_query", domain))
 
         zone = _zone_for(self.config.zones, domain)
         if zone is None:
@@ -477,6 +480,19 @@ def build_sim(config: SimConfig | dict, start_time: float = 0.0) -> Sim:
     return Sim(config, start_time=start_time)
 
 
+def _encode_reply(query: wire.DnsQuery, response: wire.DnsResponse) -> bytes:
+    """The resolver's reply packet: the query's question and RD bit
+    echoed, then the response that Sim.handle_query built."""
+    return wire.encode_response(
+        query_id=query.id,
+        question=wire.DnsQuestion(query.qname, query.qtype, query.qclass),
+        answers=response.answers,
+        rcode=response.rcode,
+        recursion_available=response.recursion_available,
+        recursion_desired=query.recursion_desired,
+    )
+
+
 class SimExchange:
     """In-process transport: probes hit the simulator, bytes and all.
 
@@ -496,14 +512,7 @@ class SimExchange:
         query = wire.decode_query(payload)
         with self._lock:
             response, rtt_ms = self.sim.handle_query(query, sent_at)
-        data = wire.encode_response(
-            query_id=query.id,
-            question=wire.DnsQuestion(query.qname, query.qtype, query.qclass),
-            answers=response.answers,
-            rcode=response.rcode,
-            recursion_available=response.recursion_available,
-            recursion_desired=query.recursion_desired,
-        )
+        data = _encode_reply(query, response)
         self.clock.sleep(rtt_ms / 1000.0)
         return data, rtt_ms, sent_at
 
@@ -551,14 +560,7 @@ class UdpSimServer:
             # clamp: a stepped-back wall clock must not look like time travel
             at = max(_time.time(), self.sim.time)
             response, rtt_ms = self.sim.handle_query(query, at)
-        payload = wire.encode_response(
-            query_id=query.id,
-            question=wire.DnsQuestion(query.qname, query.qtype, query.qclass),
-            answers=response.answers,
-            rcode=response.rcode,
-            recursion_available=response.recursion_available,
-            recursion_desired=query.recursion_desired,
-        )
+        payload = _encode_reply(query, response)
         _time.sleep(rtt_ms / 1000.0)
         try:
             self._sock.sendto(payload, addr)

@@ -54,11 +54,14 @@ class UdpExchange:
     def exchange(self, server: str, payload: bytes, timeout: float) -> tuple[bytes, float, float]:
         host, port = split_server(server, self.default_port)
         family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        # A fresh socket per probe keeps the source port random. Connecting
+        # it makes the kernel resolve a host name and drop datagrams from
+        # any other source.
         with socket.socket(family, socket.SOCK_DGRAM) as sock:
-            sock.settimeout(timeout)
+            sock.connect((host, port))
             sent_at = time.time()
             start = time.monotonic()
-            sock.sendto(payload, (host, port))
+            sock.send(payload)
             deadline = start + timeout
             while True:
                 remaining = deadline - time.monotonic()
@@ -66,11 +69,14 @@ class UdpExchange:
                     raise ProbeTimeout(f"no response from {server} within {timeout}s")
                 sock.settimeout(remaining)
                 try:
-                    data, addr = sock.recvfrom(4096)
+                    data = sock.recv(4096)
                 except socket.timeout:
                     raise ProbeTimeout(f"no response from {server} within {timeout}s") from None
-                # Accept only a reply to this transaction from this server.
-                if addr[0] == host and len(data) >= 2 and data[:2] == payload[:2]:
+                except ConnectionRefusedError:
+                    # an ICMP error is no answer: wait out the timeout as for silence
+                    continue
+                # Accept only a reply to this transaction.
+                if len(data) >= 2 and data[:2] == payload[:2]:
                     rtt_ms = (time.monotonic() - start) * 1000.0
                     return data, rtt_ms, sent_at
 
@@ -87,8 +93,9 @@ class Prober:
     """Builds, sends, and decodes queries with retries and pacing.
 
     Each attempt uses a fresh transaction id so a late reply to a lost
-    probe cannot be mistaken for the current one. Every send first takes
-    a rate-limiter slot when a limiter is configured.
+    probe cannot be mistaken for the current one; a reply that carries
+    another id or echoes another question costs an attempt. Every send
+    first takes a rate-limiter slot when a limiter is configured.
     """
 
     transport: Exchange
@@ -103,6 +110,7 @@ class Prober:
     def probe(self, server: str, name: str, recursion_desired: bool = True,
               qtype: int | None = None) -> ProbeReply:
         attempts = self.retries + 1
+        qname = wire.normalize_name(name)
         last_error: Exception | None = None
         for _ in range(attempts):
             if self.limiter is not None:
@@ -128,6 +136,11 @@ class Prober:
                 continue
             if response.id != query.id:
                 last_error = wire.Malformed("transaction id mismatch")
+                continue
+            echoed = response.question
+            if echoed is not None and (echoed.qname, echoed.qtype) != (qname, query.qtype):
+                # RFC 5452 section 9.1: the reply must echo the question asked
+                last_error = wire.Malformed("question does not match the query")
                 continue
             return ProbeReply(response=response, rtt_ms=rtt_ms, sent_at=sent_at)
         raise ProbeTimeout(

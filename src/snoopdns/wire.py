@@ -7,6 +7,15 @@ A/AAAA/CNAME answer records. Unknown record types and response codes
 are preserved opaquely instead of rejected, so that misbehaving servers
 can still be analysed. UDP framing only; truncated responses are
 surfaced via the header bit, never retried over TCP here.
+
+A scan sends the same short list of names over and over, so the codec
+keeps two name memos: the wire bytes of each name string given to
+encode_name, and the decoded name of each uncompressed label run read
+from a packet. Only names that pass every check are stored, so invalid
+names and malformed runs are rejected on every call. Each memo holds at
+most NAME_MEMO_SIZE entries and is emptied when an insert overfills it.
+Both are shared by every thread and touched only by single dict reads,
+writes and clears, which need no lock.
 """
 
 import struct
@@ -16,6 +25,7 @@ from enum import IntEnum
 MAX_LABEL_LEN = 63
 MAX_NAME_WIRE_LEN = 255
 MAX_TTL = 2**31 - 1  # TTLs with the top bit set are a protocol error
+NAME_MEMO_SIZE = 65536
 
 HEADER = struct.Struct(">HHHHHH")
 QUESTION_TAIL = struct.Struct(">HH")  # qtype, qclass
@@ -94,19 +104,31 @@ def validate_name(name: str) -> str:
     return norm
 
 
+_encoded_names: dict[str, bytes] = {}
+_decoded_names: dict[bytes, str] = {}
+
+
+def _remember(memo: dict, key, value) -> None:
+    memo[key] = value
+    if len(memo) > NAME_MEMO_SIZE:
+        memo.clear()
+
+
 def encode_name(name: str) -> bytes:
     """Encode a validated name as length-prefixed labels, uncompressed."""
-    norm = validate_name(name)
-    out = bytearray()
-    for label in norm.split("."):
-        raw = label.encode("ascii")
-        out.append(len(raw))
-        out += raw
-    out.append(0)
-    return bytes(out)
+    encoded = _encoded_names.get(name)
+    if encoded is None:
+        out = bytearray()
+        for label in validate_name(name).split("."):
+            out.append(len(label))
+            out += label.encode("ascii")
+        out.append(0)
+        encoded = bytes(out)
+        _remember(_encoded_names, name, encoded)
+    return encoded
 
 
-@dataclass
+@dataclass(slots=True)
 class DnsQuery:
     """A single question to send: one name, one record type."""
 
@@ -117,7 +139,7 @@ class DnsQuery:
     recursion_desired: bool = True
 
 
-@dataclass
+@dataclass(slots=True)
 class DnsQuestion:
     """Question section entry as echoed back by a server."""
 
@@ -126,7 +148,7 @@ class DnsQuestion:
     qclass: int = RecordClass.IN
 
 
-@dataclass
+@dataclass(slots=True)
 class ResourceRecord:
     """One answer record; rdata stays opaque except for CNAME targets."""
 
@@ -137,7 +159,7 @@ class ResourceRecord:
     cname_target: str | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class DnsResponse:
     """Decoded response header plus the answer section."""
 
@@ -205,25 +227,25 @@ class _Reader:
     """Bounds-checked cursor over a packet; every overrun is Malformed."""
 
     def __init__(self, data: bytes):
-        self.data = data
+        self.data = bytes(data)  # hashable slices for the name memo
         self.pos = 0
-
-    def need(self, n: int) -> None:
-        if self.pos + n > len(self.data):
-            raise Malformed("packet truncated")
 
     def fields(self, layout: struct.Struct) -> tuple:
         """Read fixed-width fields in one call."""
-        self.need(layout.size)
-        v = layout.unpack_from(self.data, self.pos)
-        self.pos += layout.size
-        return v
+        pos = self.pos
+        end = pos + layout.size
+        if end > len(self.data):
+            raise Malformed("packet truncated")
+        self.pos = end
+        return layout.unpack_from(self.data, pos)
 
     def take(self, n: int) -> bytes:
-        self.need(n)
-        v = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return v
+        pos = self.pos
+        end = pos + n
+        if end > len(self.data):
+            raise Malformed("packet truncated")
+        self.pos = end
+        return self.data[pos:end]
 
     def read_name(self) -> str:
         """Read a possibly compressed name starting at the cursor.
@@ -233,19 +255,33 @@ class _Reader:
         raise Malformed. The cursor ends just past the name's top-level
         encoding.
         """
+        data = self.data
+        start = pos = self.pos
+        # Fast path: an uncompressed label run decoded before.
+        while pos < len(data):
+            length = data[pos]
+            if length == 0:
+                name = _decoded_names.get(data[start : pos + 1])
+                if name is not None:
+                    self.pos = pos + 1
+                    return name
+                break
+            if length & 0xC0:
+                break
+            pos += 1 + length
         labels: list[str] = []
-        pos = self.pos
+        pos = start
         end = -1  # top-level resume position once the first pointer is taken
         jumps = 0
         decoded_len = 1
         while True:
-            if pos >= len(self.data):
+            if pos >= len(data):
                 raise Malformed("name runs off packet end")
-            length = self.data[pos]
+            length = data[pos]
             if length & 0xC0 == 0xC0:
-                if pos + 1 >= len(self.data):
+                if pos + 1 >= len(data):
                     raise Malformed("dangling compression pointer")
-                target = ((length & 0x3F) << 8) | self.data[pos + 1]
+                target = ((length & 0x3F) << 8) | data[pos + 1]
                 if target >= pos:
                     raise Malformed("compression pointer does not point backwards")
                 if end < 0:
@@ -260,19 +296,24 @@ class _Reader:
             if length == 0:
                 pos += 1
                 break
-            if pos + 1 + length > len(self.data):
+            if pos + 1 + length > len(data):
                 raise Malformed("label runs off packet end")
             decoded_len += 1 + length
             if decoded_len > MAX_NAME_WIRE_LEN:
                 raise Malformed("decoded name exceeds 255 bytes")
-            raw = self.data[pos + 1 : pos + 1 + length]
+            raw = data[pos + 1 : pos + 1 + length]
             try:
                 labels.append(raw.decode("ascii").lower())
             except UnicodeDecodeError as exc:
                 raise Malformed("non-ascii bytes in label") from exc
             pos += 1 + length
-        self.pos = end if end >= 0 else pos
-        return ".".join(labels)
+        name = ".".join(labels)
+        if end < 0:
+            _remember(_decoded_names, data[start:pos], name)
+            self.pos = pos
+        else:
+            self.pos = end
+        return name
 
 
 def _parse_record(reader: _Reader) -> ResourceRecord:
@@ -292,7 +333,7 @@ def _parse_record(reader: _Reader) -> ResourceRecord:
         cname_target = sub.read_name()
         if sub.pos != rd_start + rdlen:
             raise Malformed("cname rdata length does not match encoded name")
-    return ResourceRecord(name=name, rtype=rtype, ttl=ttl, rdata=rdata, cname_target=cname_target)
+    return ResourceRecord(name, rtype, ttl, rdata, cname_target)
 
 
 def decode_response(packet: bytes) -> DnsResponse:
@@ -314,20 +355,15 @@ def decode_response(packet: bytes) -> DnsResponse:
         qname = reader.read_name()
         qtype, qclass = reader.fields(QUESTION_TAIL)
         if i == 0:
-            question = DnsQuestion(qname=qname, qtype=qtype, qclass=qclass)
+            question = DnsQuestion(qname, qtype, qclass)
     answers = [_parse_record(reader) for _ in range(ancount)]
     for _ in range(nscount + arcount):
         _parse_record(reader)
 
-    return DnsResponse(
-        id=qid,
-        rcode=flags & 0x000F,
-        recursion_available=bool(flags & FLAG_RA),
-        answers=answers,
-        authoritative=bool(flags & FLAG_AA),
-        truncated=bool(flags & FLAG_TC),
-        question=question,
-    )
+    # Per-probe records are built positionally: keyword arguments make
+    # a dataclass __init__ call several times slower.
+    return DnsResponse(qid, flags & 0x000F, bool(flags & FLAG_RA), answers,
+                       bool(flags & FLAG_AA), bool(flags & FLAG_TC), question)
 
 
 def decode_query(packet: bytes) -> DnsQuery:
@@ -340,13 +376,7 @@ def decode_query(packet: bytes) -> DnsQuery:
         raise Malformed(f"expected exactly one question, got {qdcount}")
     qname = reader.read_name()
     qtype, qclass = reader.fields(QUESTION_TAIL)
-    return DnsQuery(
-        id=qid,
-        qname=qname,
-        qtype=qtype,
-        qclass=qclass,
-        recursion_desired=bool(flags & FLAG_RD),
-    )
+    return DnsQuery(qid, qname, qtype, qclass, bool(flags & FLAG_RD))
 
 
 def min_answer_ttl(response: DnsResponse, qname: str) -> int | None:

@@ -44,12 +44,15 @@ class ScriptedExchange:
         return data, 1.0, sent_at
 
 
-def answer(ttl=60, wrong_id=False):
+def answer(ttl=60, wrong_id=False, echo=None):
+    """Reply builder; `echo` maps the query to the question echoed back."""
     def build(query):
         rr = wire.ResourceRecord(query.qname, wire.RecordType.A, ttl,
                                  bytes([10, 0, 0, 1]))
         ident = (query.id + 1) & 0xFFFF if wrong_id else query.id
-        return wire.encode_response(ident, wire.DnsQuestion(qname=query.qname), [rr])
+        question = (wire.DnsQuestion(query.qname, query.qtype) if echo is None
+                    else echo(query))
+        return wire.encode_response(ident, question, [rr])
     return build
 
 
@@ -85,6 +88,25 @@ class TestProber:
         reply = prober.probe("sim", "a.bc")
         assert reply.response.answers[0].ttl == 9
         assert len(transport.payloads) == 2
+
+    @pytest.mark.parametrize("echo", [
+        lambda q: wire.DnsQuestion("other.bc", q.qtype),
+        lambda q: wire.DnsQuestion(q.qname, wire.RecordType.AAAA),
+    ], ids=["name", "type"])
+    def test_a_reply_to_another_question_consumes_a_retry(self, echo):
+        prober, transport = make_prober([answer(ttl=1, echo=echo), answer(ttl=9)])
+        reply = prober.probe("sim", "a.bc")
+        assert reply.response.answers[0].ttl == 9
+        assert len(transport.payloads) == 2
+
+    def test_a_reply_without_a_question_is_accepted(self):
+        prober, transport = make_prober([answer(ttl=4, echo=lambda q: None)])
+        assert prober.probe("sim", "a.bc").response.answers[0].ttl == 4
+
+    def test_the_echo_is_compared_in_normal_form(self):
+        prober, transport = make_prober([answer(ttl=3)])
+        assert prober.probe("sim", "A.Bc.").response.answers[0].ttl == 3
+        assert len(transport.payloads) == 1
 
     def test_garbage_reply_consumes_a_retry(self):
         def garbage(query):
@@ -162,6 +184,26 @@ class TestUdpExchange:
             assert reply.rtt_ms > 0
         finally:
             responder.close()
+
+    def test_a_server_given_by_host_name_is_answered(self):
+        responder = LoopbackResponder()
+        try:
+            prober = Prober(transport=UdpExchange(), clock=SystemClock(),
+                            timeout=1.0, retries=0)
+            reply = prober.probe(f"localhost:{responder.port}", "loop.test")
+            assert reply.response.answers[0].ttl == 30
+        finally:
+            responder.close()
+
+    def test_a_closed_port_times_out(self):
+        # the ICMP error a connected socket reports is no answer
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as closed:
+            closed.bind(("127.0.0.1", 0))
+            port = closed.getsockname()[1]
+        prober = Prober(transport=UdpExchange(), clock=SystemClock(),
+                        timeout=0.05, retries=1)
+        with pytest.raises(ProbeTimeout):
+            prober.probe(f"127.0.0.1:{port}", "loop.test")
 
     def test_silent_server_times_out(self):
         responder = LoopbackResponder(respond=False)

@@ -2,6 +2,8 @@
 
 import random
 import struct
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,15 @@ LABEL = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-_", min_size=1,
                 max_size=12)
 NAMES = st.lists(LABEL, min_size=1, max_size=4).map(".".join).filter(
     lambda n: len(n) + 2 <= wire.MAX_NAME_WIRE_LEN)
+# as a user might type them: any letter in upper case, maybe a root dot
+TYPED_NAMES = st.tuples(NAMES, st.randoms(use_true_random=False), st.booleans()).map(
+    lambda t: "".join(c.upper() if t[1].random() < 0.5 else c for c in t[0])
+    + ("." if t[2] else ""))
+
+
+def clear_name_memos():
+    wire._encoded_names.clear()
+    wire._decoded_names.clear()
 
 
 def test_query_wire_bytes_frozen():
@@ -40,7 +51,9 @@ def test_header_is_twelve_bytes_and_counts():
        st.sampled_from([wire.RecordType.A, wire.RecordType.AAAA]))
 def test_query_round_trip(ident, name, rd, qtype):
     query = wire.DnsQuery(id=ident, qname=name, qtype=qtype, recursion_desired=rd)
-    decoded = wire.decode_query(wire.encode_query(query))
+    packet = wire.encode_query(query)
+    decoded = wire.decode_query(packet)
+    assert wire.decode_query(bytearray(packet)) == decoded
     assert decoded.id == ident
     assert decoded.qname == wire.normalize_name(name)
     assert decoded.qtype == qtype
@@ -142,6 +155,81 @@ class TestNameValidation:
     def test_rejected_names(self, bad):
         with pytest.raises(wire.InvalidName):
             wire.validate_name(bad)
+        for _ in range(2):  # an invalid name is never remembered
+            with pytest.raises(wire.InvalidName):
+                wire.encode_name(bad)
+        assert bad not in wire._encoded_names
+
+
+def _as_sent(name: str) -> bytes:
+    """Labels in the case given, as a server may send them back."""
+    labels = name.rstrip(".").split(".")
+    return b"".join(bytes([len(x)]) + x.encode("ascii") for x in labels) + b"\0"
+
+
+def _codec_results(name: str, alias: str):
+    """Encode both names, then decode a packet that names `name`
+    uncompressed, by a pointer, and under a compressed prefix."""
+    fixed = struct.pack(">HHIH", 1, 1, 60, 4) + b"\x0a\0\0\x01"
+    packet = (wire.HEADER.pack(7, wire.FLAG_QR, 1, 3, 0, 0)
+              + _as_sent(name) + struct.pack(">HH", 1, 1)
+              + b"\xc0\x0c" + fixed
+              + b"\x03WwW\xc0\x0c" + fixed
+              + _as_sent(alias) + fixed)
+    return wire.encode_name(name), wire.encode_name(alias), wire.decode_response(packet)
+
+
+class TestNameMemos:
+    @given(TYPED_NAMES, TYPED_NAMES)
+    def test_a_warm_memo_changes_no_result(self, name, alias):
+        clear_name_memos()
+        cold = _codec_results(name, alias)
+        assert name in wire._encoded_names
+        warm = _codec_results(name, alias)
+        assert warm == cold
+        norm = wire.normalize_name(name)
+        assert cold[0] == _as_sent(norm)
+        assert cold[2].question.qname == norm
+        assert [rr.name for rr in cold[2].answers] == [
+            norm, f"www.{norm}", wire.normalize_name(alias)]
+
+    def test_memos_stay_within_their_bound(self):
+        clear_name_memos()
+        for i in range(wire.NAME_MEMO_SIZE + 100):
+            name = f"n{i}.test"
+            assert wire.decode_query(wire.encode_query(wire.DnsQuery(1, name))).qname == name
+            assert len(wire._encoded_names) <= wire.NAME_MEMO_SIZE
+            assert len(wire._decoded_names) <= wire.NAME_MEMO_SIZE
+
+    def test_threads_sharing_small_memos_get_right_names(self, monkeypatch):
+        # the memos are overfilled and emptied while threads read them
+        monkeypatch.setattr(wire, "NAME_MEMO_SIZE", 8)
+        names = [f"h{i}.Test" for i in range(40)]
+        packets = {n: wire.encode_query(wire.DnsQuery(1, n)) for n in names}
+        wrong: list[str] = []
+
+        def work(seed: int) -> None:
+            rng = random.Random(seed)
+            for _ in range(2000):
+                name = rng.choice(names)
+                if (wire.encode_name(name) != packets[name][12:-4]
+                        or wire.decode_query(packets[name]).qname != name.lower()):
+                    wrong.append(name)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert len(wire._encoded_names) <= 8
+        assert len(wire._decoded_names) <= 8
 
 
 class TestHostilePackets:
@@ -226,14 +314,23 @@ class TestHostilePackets:
             pass
 
     def test_every_truncated_prefix_is_malformed(self):
-        # fixed-width fields are read in blocks; a cut inside any of them
-        # must still surface as Malformed, never as struct.error
+        # fixed-width fields are read in blocks and known names come from a
+        # memo; a cut inside any field or name must still surface as
+        # Malformed, never as struct.error, cold or warm
         whole = wire.encode_response(
             0xBEEF, wire.DnsQuestion(qname="www.a.bc"),
             [wire.ResourceRecord("www.a.bc", wire.RecordType.CNAME, 300, b"",
                                  cname_target="a.bc"),
              wire.ResourceRecord("a.bc", wire.RecordType.A, 60, b"\x0a\0\0\x01")])
+        query = wire.encode_query(wire.DnsQuery(id=3, qname="www.a.bc"))
         assert len(wire.decode_response(whole).answers) == 2
-        for cut in range(len(whole)):
-            with pytest.raises(wire.Malformed):
-                wire.decode_response(whole[:cut])
+        assert wire.decode_query(query).qname == "www.a.bc"
+        assert wire._decoded_names.get(wire.encode_name("a.bc")) == "a.bc"
+        for warm in (True, False):
+            for packet, decode in ((whole, wire.decode_response),
+                                   (query, wire.decode_query)):
+                for cut in range(len(packet)):
+                    if not warm:
+                        clear_name_memos()
+                    with pytest.raises(wire.Malformed):
+                        decode(packet[:cut])
