@@ -10,6 +10,8 @@ line being written and partial logs stay loadable.
 import json
 import threading
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 from typing import Iterable, TextIO
 
 from . import wire
@@ -173,48 +175,59 @@ def liveness_filter(prober: Prober, clock: Clock, server: str,
     return live, dead
 
 
-def observation_to_json(observation: RefreshObservation, scan_id: str) -> dict:
-    record = {
-        "kind": "observation",
-        "schema_version": SCHEMA_VERSION,
-        "scan_id": scan_id,
-        "server": observation.server,
-        "domain": observation.domain,
-        "method": observation.method,
-        "window_start": observation.window_start,
-        "window_length": observation.window_length,
-        "probe_rtt_ms": observation.probe_rtt_ms,
-        "censored": observation.censored,
-        "event": None,
-    }
-    if observation.event is not None:
-        record["event"] = {
-            "delay_after_expiry": observation.event.delay_after_expiry,
-            "inferred_refresh_time": observation.event.inferred_refresh_time,
-        }
-    return record
+def record_line(item: "RefreshObservation | CycleError", scan_id: str) -> str:
+    """The JSONL line, newline included, that logs one record.
+
+    The layout is fixed and equals json.dumps(record, sort_keys=True) of
+    the record's dict: sorted keys, ", " and ": " separators, strings
+    escaped to ASCII, numbers as repr with NaN, Infinity and -Infinity,
+    and true, false and null. A field declared str must hold a str.
+    """
+    text = encode_basestring_ascii
+    if isinstance(item, RefreshObservation):
+        event = item.event
+        start, length, rtt = item.window_start, item.window_length, item.probe_rtt_ms
+        delay, refresh = (0.0, 0.0) if event is None else (
+            event.delay_after_expiry, event.inferred_refresh_time)
+        if (type(start) is type(length) is type(rtt) is type(delay) is type(refresh) is float
+                and isfinite(start + length + rtt + delay + refresh)
+                and type(item.censored) is bool):
+            # the usual record: repr writes a finite float as json.dumps does
+            number, censored = repr, "true" if item.censored else "false"
+        else:
+            number, censored = json.dumps, json.dumps(item.censored)
+        event_json = "null" if event is None else (
+            f'{{"delay_after_expiry": {number(delay)}, '
+            f'"inferred_refresh_time": {number(refresh)}}}')
+        return (f'{{"censored": {censored}, "domain": {text(item.domain)}, '
+                f'"event": {event_json}, "kind": "observation", '
+                f'"method": {text(item.method)}, "probe_rtt_ms": {number(rtt)}, '
+                f'"scan_id": {text(scan_id)}, "schema_version": {SCHEMA_VERSION}, '
+                f'"server": {text(item.server)}, "window_length": {number(length)}, '
+                f'"window_start": {number(start)}}}\n')
+    if isinstance(item, CycleError):
+        return (f'{{"at": {json.dumps(item.at)}, "domain": {text(item.domain)}, '
+                f'"error_kind": {text(item.kind)}, "kind": "error", '
+                f'"message": {text(item.message)}, "method": {text(item.method)}, '
+                f'"scan_id": {text(scan_id)}, "schema_version": {SCHEMA_VERSION}, '
+                f'"server": {text(item.server)}}}\n')
+    raise TypeError(f"cannot log a {type(item).__name__}")
 
 
-def error_to_json(error: CycleError, scan_id: str) -> dict:
-    return {
-        "kind": "error",
-        "schema_version": SCHEMA_VERSION,
-        "scan_id": scan_id,
-        "server": error.server,
-        "domain": error.domain,
-        "method": error.method,
-        "at": error.at,
-        "error_kind": error.kind,
-        "message": error.message,
-    }
+def _schema_ok(record: dict) -> bool:
+    version = record.get("schema_version")
+    return type(version) is int and version == SCHEMA_VERSION
 
 
 def observation_from_json(record: dict) -> RefreshObservation:
     if record.get("kind") != "observation":
         raise ParseError(f"not an observation record: kind={record.get('kind')!r}")
-    if record.get("schema_version") != SCHEMA_VERSION:
+    if not _schema_ok(record):
         raise ParseError(f"unsupported schema_version {record.get('schema_version')!r}")
     try:
+        censored = record["censored"]
+        if not isinstance(censored, bool):
+            raise ValueError(f"censored is not a JSON boolean: {censored!r}")
         event = None
         if record["event"] is not None:
             event = RefreshEvent(
@@ -227,7 +240,7 @@ def observation_from_json(record: dict) -> RefreshObservation:
             window_start=float(record["window_start"]),
             window_length=float(record["window_length"]),
             probe_rtt_ms=float(record["probe_rtt_ms"]),
-            censored=bool(record["censored"]),
+            censored=censored,
             event=event)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed observation record: {exc}") from exc
@@ -238,8 +251,9 @@ def observation_from_json(record: dict) -> RefreshObservation:
 class ObservationWriter:
     """Append-only JSONL sink, one flushed line per record.
 
-    A lock serializes writers so concurrent probing threads cannot tear
-    lines; flushing per record bounds loss on a crash to the final line.
+    Each line has the fixed layout of record_line. A lock serializes
+    writers so concurrent probing threads cannot tear lines; flushing per
+    record bounds loss on a crash to the final line.
     """
 
     def __init__(self, out: TextIO, scan_id: str):
@@ -249,15 +263,9 @@ class ObservationWriter:
         self._lock = threading.Lock()
 
     def write(self, item: "RefreshObservation | CycleError") -> None:
-        if isinstance(item, RefreshObservation):
-            record = observation_to_json(item, self.scan_id)
-        elif isinstance(item, CycleError):
-            record = error_to_json(item, self.scan_id)
-        else:
-            raise TypeError(f"cannot log a {type(item).__name__}")
-        line = json.dumps(record, sort_keys=True)
+        line = record_line(item, self.scan_id)
         with self._lock:
-            self.out.write(line + "\n")
+            self.out.write(line)
             self.out.flush()
             self.records_written += 1
 
@@ -300,7 +308,7 @@ def load_observations(path: str) -> ObservationLog:
                 except (ParseError, ValueError):
                     log.corrupt_lines += 1
                     continue
-            elif kind == "error" and record.get("schema_version") == SCHEMA_VERSION:
+            elif kind == "error" and _schema_ok(record):
                 log.errors.append(record)
             else:
                 log.corrupt_lines += 1

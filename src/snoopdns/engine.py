@@ -529,8 +529,7 @@ class TtlRecursiveMachine:
         return now
 
     def _error(self, at: float, kind: str, message: str) -> CycleError:
-        return CycleError(server=self.server, domain=self.domain, method=self.method,
-                          at=at, kind=kind, message=message)
+        return CycleError(self.server, self.domain, self.method, at, kind, message)
 
     def _probe(self, items: list) -> ProbeReply | None:
         try:
@@ -649,16 +648,12 @@ class TtlRecursiveMachine:
             return self._arm(reply.sent_at, ttl), items
         if delay is None:
             observation = RefreshObservation(
-                server=self.server, domain=self.domain, method=self.method,
-                window_start=self._expiry, window_length=window_eff,
-                probe_rtt_ms=reply.rtt_ms, censored=True)
+                self.server, self.domain, self.method, self._expiry, window_eff,
+                reply.rtt_ms, True)
         else:
             observation = RefreshObservation(
-                server=self.server, domain=self.domain, method=self.method,
-                window_start=self._expiry, window_length=window_eff,
-                probe_rtt_ms=reply.rtt_ms, censored=False,
-                event=RefreshEvent(delay_after_expiry=delay,
-                                   inferred_refresh_time=self._expiry + delay))
+                self.server, self.domain, self.method, self._expiry, window_eff,
+                reply.rtt_ms, False, RefreshEvent(delay, self._expiry + delay))
         items.append(observation)
         self.cycles_completed += 1
         return self._arm(reply.sent_at, ttl), items
@@ -721,8 +716,7 @@ class Rd0Machine:
         return now
 
     def _error(self, at: float, kind: str, message: str) -> CycleError:
-        return CycleError(server=self.server, domain=self.domain, method=self.method,
-                          at=at, kind=kind, message=message)
+        return CycleError(self.server, self.domain, self.method, at, kind, message)
 
     def step(self, now: float) -> tuple[float | None, list]:
         items: list = []
@@ -797,12 +791,8 @@ class Rd0Machine:
                 if span is not None and span > 0:
                     delay = min(max(refresh_time - self._last_probe, 0.0), span)
                     items.append(RefreshObservation(
-                        server=self.server, domain=self.domain, method=self.method,
-                        window_start=self._last_probe, window_length=span,
-                        probe_rtt_ms=reply.rtt_ms, censored=False,
-                        event=RefreshEvent(
-                            delay_after_expiry=delay,
-                            inferred_refresh_time=self._last_probe + delay)))
+                        self.server, self.domain, self.method, self._last_probe, span,
+                        reply.rtt_ms, False, RefreshEvent(delay, self._last_probe + delay)))
                     self.cycles_completed += 1
                 self._last_refresh = refresh_time
 
@@ -813,9 +803,8 @@ class Rd0Machine:
         if span is None or span <= 0:
             return
         items.append(RefreshObservation(
-            server=self.server, domain=self.domain, method=self.method,
-            window_start=self._last_probe, window_length=span,
-            probe_rtt_ms=reply.rtt_ms, censored=True))
+            self.server, self.domain, self.method, self._last_probe, span,
+            reply.rtt_ms, True))
         self.cycles_completed += 1
 
 
@@ -853,8 +842,7 @@ class TimingMachine:
         return now
 
     def _error(self, at: float, kind: str, message: str) -> CycleError:
-        return CycleError(server=self.server, domain=self.domain, method=self.method,
-                          at=at, kind=kind, message=message)
+        return CycleError(self.server, self.domain, self.method, at, kind, message)
 
     def step(self, now: float) -> tuple[float | None, list]:
         items: list = []
@@ -885,18 +873,14 @@ class TimingMachine:
                                      f"rtt {reply.rtt_ms:.2f}ms inside the guard band"))
         elif verdict == "miss":
             items.append(RefreshObservation(
-                server=self.server, domain=self.domain, method=self.method,
-                window_start=self._expiry_bound, window_length=window_eff,
-                probe_rtt_ms=reply.rtt_ms, censored=True))
+                self.server, self.domain, self.method, self._expiry_bound, window_eff,
+                reply.rtt_ms, True))
             self.cycles_completed += 1
         else:
             delay = window_eff / 2.0
             items.append(RefreshObservation(
-                server=self.server, domain=self.domain, method=self.method,
-                window_start=self._expiry_bound, window_length=window_eff,
-                probe_rtt_ms=reply.rtt_ms, censored=False,
-                event=RefreshEvent(delay_after_expiry=delay,
-                                   inferred_refresh_time=self._expiry_bound + delay)))
+                self.server, self.domain, self.method, self._expiry_bound, window_eff,
+                reply.rtt_ms, False, RefreshEvent(delay, self._expiry_bound + delay)))
             self.cycles_completed += 1
         self._expiry_bound = sent + self.max_ttl
         return self._expiry_bound + self.window, items

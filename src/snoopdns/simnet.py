@@ -36,6 +36,7 @@ import socket
 import threading
 import time as _time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from . import wire
@@ -55,6 +56,11 @@ class BindError(OSError):
 class ZoneRecord:
     address: str
     ttl: int
+
+    @cached_property
+    def rdata(self) -> bytes:
+        """The A record's rdata, packed on first use."""
+        return socket.inet_aton(self.address)
 
 
 @dataclass(frozen=True)
@@ -257,8 +263,9 @@ def load_scenario(path: str) -> dict:
 
 def _zone_for(zones: dict[str, ZoneRecord], name: str) -> ZoneRecord | None:
     """Exact zone match, else nearest enclosing zone (subdomains resolve)."""
-    if name in zones:
-        return zones[name]
+    zone = zones.get(name)
+    if zone is not None:
+        return zone
     parts = name.split(".")
     for i in range(1, len(parts)):
         parent = ".".join(parts[i:])
@@ -327,7 +334,7 @@ class Sim:
             elif kind == "prefetch":
                 domain, generation = payload
                 if self._is_current(domain, generation) and self.cache[domain].expires_at > at:
-                    self._refresh(domain, at, cause="prefetch")
+                    self._refresh(domain, _zone_for(self.config.zones, domain), at, "prefetch")
         if t > self.time:
             self.time = t
 
@@ -353,9 +360,7 @@ class Sim:
             return self.config.ttl_policy.max_ttl
         return zone.ttl
 
-    def _refresh(self, domain: str, at: float, cause: str) -> None:
-        zone = _zone_for(self.config.zones, domain)
-        assert zone is not None  # callers resolve the zone first
+    def _refresh(self, domain: str, zone: ZoneRecord, at: float, cause: str) -> None:
         max_ttl = self._cache_ttl_for(zone)
         entry = self.cache.get(domain)
         if entry is None:
@@ -399,10 +404,10 @@ class Sim:
         if remaining > 0:
             if (anomaly.kind == "pre_refresh"
                     and anomaly.remaining_low <= remaining <= anomaly.remaining_high):
-                self._refresh(domain, at, cause="prefetch")
+                self._refresh(domain, _zone_for(self.config.zones, domain), at, "prefetch")
             # otherwise a plain cache hit: no state change
         else:
-            self._refresh(domain, at, cause="client")
+            self._refresh(domain, _zone_for(self.config.zones, domain), at, "client")
 
     # -- RTT draws -----------------------------------------------------
 
@@ -434,43 +439,29 @@ class Sim:
 
         zone = _zone_for(self.config.zones, domain)
         if zone is None:
-            response = wire.DnsResponse(
-                id=query.id, rcode=wire.Rcode.NXDOMAIN, recursion_available=True)
-            return response, self._rtt_recursive()
+            return wire.DnsResponse(query.id, wire.Rcode.NXDOMAIN, True), self._rtt_recursive()
 
         remaining = self._remaining(domain, at)
         anomaly = self.config.anomaly
         if (remaining > 0 and anomaly.kind == "pre_refresh"
                 and anomaly.remaining_low <= remaining <= anomaly.remaining_high):
-            self._refresh(domain, at, cause="prefetch")
+            self._refresh(domain, zone, at, "prefetch")
             remaining = self._remaining(domain, at)
 
-        recursed = False
         if remaining > 0:
-            answer_ttl = int(remaining)
+            answer_ttl, rtt = int(remaining), self._rtt_cached()
+        elif not query.recursion_desired and self.config.rd_policy == "honor":
+            # Honest server: no recursion on RD=0, nothing to answer.
+            return wire.DnsResponse(query.id, wire.Rcode.NOERROR, True), self._rtt_cached()
         else:
-            if not query.recursion_desired and self.config.rd_policy == "honor":
-                # Honest server: no recursion on RD=0, nothing to answer.
-                response = wire.DnsResponse(
-                    id=query.id, rcode=wire.Rcode.NOERROR, recursion_available=True)
-                return response, self._rtt_cached()
-            self._refresh(domain, at, cause="probe")
-            answer_ttl = self.cache[domain].max_ttl
-            recursed = True
+            self._refresh(domain, zone, at, "probe")
+            answer_ttl, rtt = self.cache[domain].max_ttl, self._rtt_recursive()
 
         answers = []
         if query.qtype in (wire.RecordType.A, 255):
-            answers.append(wire.ResourceRecord(
-                name=domain,
-                rtype=wire.RecordType.A,
-                ttl=answer_ttl,
-                rdata=socket.inet_aton(zone.address),
-            ))
-        response = wire.DnsResponse(
-            id=query.id, rcode=wire.Rcode.NOERROR, recursion_available=True,
-            answers=answers)
-        rtt = self._rtt_recursive() if recursed else self._rtt_cached()
-        return response, rtt
+            answers.append(
+                wire.ResourceRecord(domain, wire.RecordType.A, answer_ttl, zone.rdata))
+        return wire.DnsResponse(query.id, wire.Rcode.NOERROR, True, answers), rtt
 
 
 def build_sim(config: SimConfig | dict, start_time: float = 0.0) -> Sim:
@@ -483,14 +474,11 @@ def build_sim(config: SimConfig | dict, start_time: float = 0.0) -> Sim:
 def _encode_reply(query: wire.DnsQuery, response: wire.DnsResponse) -> bytes:
     """The resolver's reply packet: the query's question and RD bit
     echoed, then the response that Sim.handle_query built."""
+    # called through the module so that a tracer patching it sees every reply
     return wire.encode_response(
-        query_id=query.id,
-        question=wire.DnsQuestion(query.qname, query.qtype, query.qclass),
-        answers=response.answers,
-        rcode=response.rcode,
-        recursion_available=response.recursion_available,
-        recursion_desired=query.recursion_desired,
-    )
+        query.id, wire.DnsQuestion(query.qname, query.qtype, query.qclass),
+        response.answers, response.rcode, response.recursion_available,
+        False, False, query.recursion_desired)
 
 
 class SimExchange:

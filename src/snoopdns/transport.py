@@ -81,7 +81,7 @@ class UdpExchange:
                     return data, rtt_ms, sent_at
 
 
-@dataclass
+@dataclass(slots=True)
 class ProbeReply:
     response: wire.DnsResponse
     rtt_ms: float
@@ -111,16 +111,14 @@ class Prober:
               qtype: int | None = None) -> ProbeReply:
         attempts = self.retries + 1
         qname = wire.normalize_name(name)
+        if qtype is None:
+            qtype = self.qtype
         last_error: Exception | None = None
         for _ in range(attempts):
             if self.limiter is not None:
                 self.limiter.acquire()
-            query = wire.DnsQuery(
-                id=self.rng.randrange(0x10000),
-                qname=name,
-                qtype=self.qtype if qtype is None else qtype,
-                recursion_desired=recursion_desired,
-            )
+            query = wire.DnsQuery(self.rng.randrange(0x10000), name, qtype,
+                                  wire.RecordClass.IN, recursion_desired)
             payload = wire.encode_query(query)
             if self.sent_times is not None:
                 self.sent_times.append(self.clock.now())
@@ -138,11 +136,11 @@ class Prober:
                 last_error = wire.Malformed("transaction id mismatch")
                 continue
             echoed = response.question
-            if echoed is not None and (echoed.qname, echoed.qtype) != (qname, query.qtype):
+            if echoed is not None and (echoed.qname, echoed.qtype) != (qname, qtype):
                 # RFC 5452 section 9.1: the reply must echo the question asked
                 last_error = wire.Malformed("question does not match the query")
                 continue
-            return ProbeReply(response=response, rtt_ms=rtt_ms, sent_at=sent_at)
+            return ProbeReply(response, rtt_ms, sent_at)
         raise ProbeTimeout(
             f"query for {name} against {server} failed after {attempts} attempts"
         ) from last_error

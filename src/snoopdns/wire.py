@@ -394,7 +394,8 @@ def min_answer_ttl(response: DnsResponse, qname: str) -> int | None:
         progressed = False
         next_name = None
         for rr in response.answers:
-            if normalize_name(rr.name) != current:
+            # decoded names are already normal, so compare before normalizing
+            if rr.name != current and normalize_name(rr.name) != current:
                 continue
             ttls.append(rr.ttl)
             if rr.rtype == RecordType.CNAME and rr.cname_target and next_name is None:

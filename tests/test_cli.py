@@ -242,15 +242,14 @@ class TestReportCommand:
         assert len(rows) == 1
 
     def test_invalidated_domains_are_excluded(self, tmp_path, capsys):
-        from snoopdns.corpus import error_to_json
+        from snoopdns.corpus import record_line
         from snoopdns.engine import CycleError
 
         log = observation_log(tmp_path, ["busy.test", "tainted.test"])
         with open(log, "a", encoding="utf-8") as handle:
-            record = error_to_json(CycleError(
+            handle.write(record_line(CycleError(
                 server="sim", domain="tainted.test", method="rd0", at=30.0,
-                kind="rd_not_honored", message="fetches on our probes"), "t")
-            handle.write(json.dumps(record) + "\n")
+                kind="rd_not_honored", message="fetches on our probes"), "t"))
         assert cli.main(["report", "--in", log]) == 0
         captured = capsys.readouterr()
         assert "tainted.test" not in captured.out

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import threading
 
 import pytest
@@ -9,10 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from snoopdns.corpus import (ObservationWriter, ParseError, ResolverUnreachable,
-                             error_to_json, liveness_filter, load_domain_list,
-                             load_observations, observation_from_json,
-                             observation_to_json)
-from snoopdns.engine import CycleError, RefreshEvent, RefreshObservation
+                             liveness_filter, load_domain_list, load_observations,
+                             observation_from_json, record_line)
+from snoopdns.engine import METHODS, CycleError, RefreshEvent, RefreshObservation
 
 
 class TestDomainLists:
@@ -117,13 +117,81 @@ def sample_observation(censored=False):
                                                  inferred_refresh_time=420.0))
 
 
+def record_dict(item, scan_id):
+    """The record as a dict, field by field: the reference for record_line."""
+    if isinstance(item, CycleError):
+        return {"kind": "error", "schema_version": 1, "scan_id": scan_id,
+                "server": item.server, "domain": item.domain,
+                "method": item.method, "at": item.at, "error_kind": item.kind,
+                "message": item.message}
+    event = item.event
+    return {"kind": "observation", "schema_version": 1, "scan_id": scan_id,
+            "server": item.server, "domain": item.domain,
+            "method": item.method, "window_start": item.window_start,
+            "window_length": item.window_length,
+            "probe_rtt_ms": item.probe_rtt_ms, "censored": item.censored,
+            "event": None if event is None else {
+                "delay_after_expiry": event.delay_after_expiry,
+                "inferred_refresh_time": event.inferred_refresh_time}}
+
+
+def parsed(item, scan_id):
+    return json.loads(record_line(item, scan_id))
+
+
+# every code point, with quotes, backslashes, control characters,
+# non-ASCII and lone surrogates drawn often
+any_text = st.text(st.one_of(
+    st.characters(exclude_categories=()),
+    st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028\ud800\udfff\U0001f600')))
+special_floats = st.sampled_from([-0.0, 0.0, 5e-324, 1e22, 1e16, 0.1,
+                                  math.nan, math.inf, -math.inf])
+any_float = st.one_of(special_floats, st.floats())
+any_number = st.one_of(any_float, st.integers())
+
+
+@st.composite
+def any_records(draw, number=any_number, flag=st.booleans()):
+    """Observations and errors with arbitrary field values."""
+    if draw(st.booleans()):
+        return CycleError(draw(any_text), draw(any_text), draw(any_text),
+                          draw(number), draw(any_text), draw(any_text))
+    event = None
+    if draw(st.booleans()):
+        event = RefreshEvent(draw(number), draw(number))
+    return RefreshObservation(draw(any_text), draw(any_text), draw(any_text),
+                              draw(number), draw(number), draw(number),
+                              draw(flag), event)
+
+
+@st.composite
+def loadable_records(draw):
+    """Records that pass validation: arbitrary text, special floats."""
+    if draw(st.booleans()):
+        return draw(any_records(number=any_float).filter(
+            lambda r: isinstance(r, CycleError)))
+    finite = st.one_of(special_floats.filter(math.isfinite),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    start = draw(finite)
+    window = draw(st.one_of(st.sampled_from([5e-324, 1e22, 0.1, 300.0]),
+                            st.floats(1e-300, 1e300)))
+    censored = draw(st.booleans())
+    event = None
+    if not censored:
+        delay = window * draw(st.floats(0.0, 1.0))
+        event = RefreshEvent(delay, start + delay)
+    return RefreshObservation(draw(any_text), draw(any_text),
+                              draw(st.sampled_from(sorted(METHODS))), start,
+                              window, draw(any_float), censored, event)
+
+
 class TestJsonlLog:
     def test_observation_round_trip(self):
         for censored in (False, True):
             original = sample_observation(censored)
-            record = observation_to_json(original, "scan-1")
+            record = parsed(original, "scan-1")
             assert record["schema_version"] == 1
-            back = observation_from_json(json.loads(json.dumps(record)))
+            back = observation_from_json(record)
             assert back == original
 
     @given(st.floats(0.0, 1e6), st.floats(0.1, 1e5), st.floats(0.0, 1.0),
@@ -135,7 +203,36 @@ class TestJsonlLog:
                                       method="timing", window_start=start,
                                       window_length=window, probe_rtt_ms=1.0,
                                       censored=censored, event=event)
-        assert observation_from_json(observation_to_json(original, "x")) == original
+        assert observation_from_json(parsed(original, "x")) == original
+
+    # ill-typed numbers and flags too: they must leave the usual path
+    @given(st.one_of(
+        any_records(),
+        any_records(number=st.one_of(any_number, st.booleans(), st.none())),
+        any_records(number=st.floats(allow_nan=False, allow_infinity=False),
+                    flag=st.one_of(st.none(), any_number))), any_text)
+    def test_line_is_json_dumps_of_the_fields(self, item, scan_id):
+        expected = json.dumps(record_dict(item, scan_id), sort_keys=True) + "\n"
+        assert record_line(item, scan_id) == expected
+
+    @given(st.lists(loadable_records(), min_size=1, max_size=4), any_text)
+    def test_every_written_line_loads_back(self, tmp_path_factory, items, scan_id):
+        path = tmp_path_factory.mktemp("log") / "log.jsonl"
+        with open(path, "w", encoding="utf-8") as handle:
+            writer = ObservationWriter(handle, scan_id)
+            for item in items:
+                writer.write(item)
+        log = load_observations(str(path))
+        assert log.corrupt_lines == 0
+        # JSON reads an escaped surrogate pair back as one character
+        assert log.scan_ids == {json.loads(json.dumps(scan_id))}
+        # compared as lines, so that NaN fields and surrogate pairs count as equal
+        observations = [i for i in items if isinstance(i, RefreshObservation)]
+        errors = [i for i in items if isinstance(i, CycleError)]
+        assert ([record_line(o, scan_id) for o in log.observations]
+                == [record_line(o, scan_id) for o in observations])
+        assert ([json.dumps(e, sort_keys=True) + "\n" for e in log.errors]
+                == [record_line(e, scan_id) for e in errors])
 
     def test_writer_appends_one_flushed_line_per_record(self, tmp_path):
         path = tmp_path / "log.jsonl"
@@ -157,12 +254,12 @@ class TestJsonlLog:
 
     def test_load_skips_and_counts_corrupt_lines(self, tmp_path):
         path = tmp_path / "log.jsonl"
-        good = json.dumps(observation_to_json(sample_observation(), "s"))
-        error_line = json.dumps(error_to_json(
-            CycleError("sim", "a.test", "rd0", 1.0, "timeout", "m"), "s"))
-        bad_schema = json.dumps({**observation_to_json(sample_observation(), "s"),
+        good = record_line(sample_observation(), "s").strip()
+        error_line = record_line(
+            CycleError("sim", "a.test", "rd0", 1.0, "timeout", "m"), "s").strip()
+        bad_schema = json.dumps({**parsed(sample_observation(), "s"),
                                  "schema_version": 99})
-        bad_event = json.dumps({**observation_to_json(sample_observation(), "s"),
+        bad_event = json.dumps({**parsed(sample_observation(), "s"),
                                 "censored": True})
         path.write_text("\n".join([
             good, "{not json", '"just a string"', bad_schema,
@@ -174,10 +271,27 @@ class TestJsonlLog:
         assert log.corrupt_lines == 5  # blank lines skip silently
         assert log.scan_ids == {"s"}
 
+    def test_non_boolean_censored_and_boolean_schema_version_are_corrupt(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        censored = parsed(sample_observation(censored=True), "s")
+        uncensored = parsed(sample_observation(), "s")
+        error = parsed(CycleError("sim", "a.test", "rd0", 1.0, "timeout", "m"), "s")
+        path.write_text("\n".join(json.dumps(record) for record in [
+            censored,
+            {**censored, "censored": "false"},
+            {**censored, "schema_version": True},
+            {**uncensored, "censored": 0},
+            {**error, "schema_version": True},
+        ]) + "\n")
+        log = load_observations(str(path))
+        assert log.observations == [sample_observation(censored=True)]
+        assert log.errors == []
+        assert log.corrupt_lines == 4
+
     def test_interrupted_final_line_is_survivable(self, tmp_path):
         path = tmp_path / "log.jsonl"
-        good = json.dumps(observation_to_json(sample_observation(), "s"))
-        path.write_text(good + "\n" + good[: len(good) // 2])
+        good = record_line(sample_observation(), "s")
+        path.write_text(good + good[: len(good) // 2])
         log = load_observations(str(path))
         assert len(log.observations) == 1
         assert log.corrupt_lines == 1

@@ -310,6 +310,16 @@ class TestCacheModel:
         back, _ = sim.handle_query(query("x.a.test"), 20.0)
         assert back.answers[0].ttl == 40
 
+    def test_answers_carry_each_zones_address(self):
+        zones = {"a.test": {"address": "10.0.0.1", "ttl": 60},
+                 "b.test": {"address": "192.0.2.77", "ttl": 60}}
+        sim = build_sim(base_config(zones=zones))
+        for at, name, rdata in [(0.0, "b.test", b"\xc0\x00\x02\x4d"),
+                                (1.0, "x.a.test", b"\x0a\x00\x00\x01"),
+                                (2.0, "b.test", b"\xc0\x00\x02\x4d")]:
+            reply, _ = sim.handle_query(query(name), at)
+            assert [(rr.name, rr.rdata) for rr in reply.answers] == [(name, rdata)]
+
     def test_queries_cannot_go_back_in_time(self):
         sim = build_sim(base_config())
         sim.handle_query(query("a.test"), 50.0)

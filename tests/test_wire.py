@@ -110,6 +110,14 @@ class TestMinAnswerTtl:
             wire.ResourceRecord("b.cd", wire.RecordType.A, 30, b"\0\0\0\0"),
         ]
         assert wire.min_answer_ttl(self._response(rrs), "a.bc") == 30
+        # names not in normal form, the CNAME target too, still match
+        rrs = [
+            wire.ResourceRecord("A.BC.", wire.RecordType.CNAME, 500, b"",
+                                cname_target="B.Cd."),
+            wire.ResourceRecord("b.CD", wire.RecordType.A, 30, b"\0\0\0\0"),
+        ]
+        assert wire.min_answer_ttl(self._response(rrs), "a.bc") == 30
+        assert wire.min_answer_ttl(self._response(rrs), "A.Bc.") == 30
 
     def test_unrelated_answers_are_ignored(self):
         rrs = [wire.ResourceRecord("other.bc", wire.RecordType.A, 5, b"\0\0\0\0")]
@@ -128,8 +136,10 @@ class TestMinAnswerTtl:
         assert wire.min_answer_ttl(self._response([]), "a.bc") is None
 
     def test_name_comparison_is_case_insensitive(self):
-        rrs = [wire.ResourceRecord("A.BC.", wire.RecordType.A, 7, b"\0\0\0\0")]
-        assert wire.min_answer_ttl(self._response(rrs), "a.bc") == 7
+        for name in ("A.BC.", "A.Bc", "a.bc."):
+            rrs = [wire.ResourceRecord(name, wire.RecordType.A, 7, b"\0\0\0\0")]
+            assert wire.min_answer_ttl(self._response(rrs), "a.bc") == 7
+            assert wire.min_answer_ttl(self._response(rrs), "A.bC.") == 7
 
 
 class TestNameValidation:
