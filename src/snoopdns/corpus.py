@@ -219,6 +219,12 @@ def _schema_ok(record: dict) -> bool:
     return type(version) is int and version == SCHEMA_VERSION
 
 
+def _number(value: object) -> float:
+    if type(value) is not float and type(value) is not int:  # nor a bool
+        raise ValueError(f"not a JSON number: {value!r}")
+    return float(value)
+
+
 def observation_from_json(record: dict) -> RefreshObservation:
     if record.get("kind") != "observation":
         raise ParseError(f"not an observation record: kind={record.get('kind')!r}")
@@ -231,18 +237,18 @@ def observation_from_json(record: dict) -> RefreshObservation:
         event = None
         if record["event"] is not None:
             event = RefreshEvent(
-                delay_after_expiry=float(record["event"]["delay_after_expiry"]),
-                inferred_refresh_time=float(record["event"]["inferred_refresh_time"]))
+                delay_after_expiry=_number(record["event"]["delay_after_expiry"]),
+                inferred_refresh_time=_number(record["event"]["inferred_refresh_time"]))
         observation = RefreshObservation(
             server=str(record["server"]),
             domain=str(record["domain"]),
             method=str(record["method"]),
-            window_start=float(record["window_start"]),
-            window_length=float(record["window_length"]),
-            probe_rtt_ms=float(record["probe_rtt_ms"]),
+            window_start=_number(record["window_start"]),
+            window_length=_number(record["window_length"]),
+            probe_rtt_ms=_number(record["probe_rtt_ms"]),
             censored=censored,
             event=event)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed observation record: {exc}") from exc
     observation.validate()
     return observation
@@ -286,8 +292,10 @@ def load_observations(path: str) -> ObservationLog:
     Corrupt means undecodable JSON, an unknown kind, a bad schema
     version, or a record failing observation validation; each is
     counted, never fatal, so partial logs from interrupted scans load.
+    A load shares one string per distinct server, domain, method, scan id.
     """
     log = ObservationLog()
+    shared: dict[str, str] = {}
     with open(path, "r", encoding="utf-8", errors="replace") as handle:
         for line in handle:
             line = line.strip()
@@ -301,6 +309,9 @@ def load_observations(path: str) -> ObservationLog:
             if not isinstance(record, dict):
                 log.corrupt_lines += 1
                 continue
+            for key in ("server", "domain", "method", "scan_id"):
+                if type(record.get(key)) is str:
+                    record[key] = shared.setdefault(record[key], record[key])
             kind = record.get("kind")
             if kind == "observation":
                 try:

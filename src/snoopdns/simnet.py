@@ -2,12 +2,12 @@
 
 Models one caching resolver in front of configured authoritative zones,
 plus synthetic client traffic (Poisson or periodic per domain). Every
-cache transition is logged with its cause, so snooping results can be
-checked against exact truth. Time is lazy: client lookups, expiries
-and anomaly refreshes sit in an event heap and are applied whenever the
-simulation is advanced, which happens implicitly on every query. The
-same instance can be driven on virtual time in-process or served over
-loopback UDP in wall time.
+cache transition is logged with its cause, in 14 bytes per entry, so
+snooping results can be checked against exact truth. Time is lazy:
+client lookups, expiries and anomaly refreshes sit in an event heap and
+are applied whenever the simulation is advanced, which happens
+implicitly on every query. The same instance can be driven on virtual
+time in-process or served over loopback UDP in wall time.
 
 Poisson populations are simulated analytically. A lookup that hits a
 warm cache changes nothing, so only the lookups that change cache state
@@ -33,8 +33,10 @@ import heapq
 import json
 import random
 import socket
+import struct
 import threading
 import time as _time
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -117,8 +119,8 @@ class SimConfig:
 
 
 class SimEvent(NamedTuple):
-    """One log entry, an immutable tuple: cheap to build, as the
-    simulator logs one per probe, refresh, expiry and drawn lookup."""
+    """One log entry, as Sim.log yields it: one per probe, refresh,
+    expiry and drawn lookup, built from its packed record on access."""
 
     at: float
     # client_query | cache_refresh | probe_query | expiry; a client_query is
@@ -126,6 +128,46 @@ class SimEvent(NamedTuple):
     kind: str
     domain: str
     cause: str = ""  # for cache_refresh: client | probe | prefetch
+
+
+_KINDS = ("client_query", "cache_refresh", "probe_query", "expiry")
+_CAUSES = ("", "client", "probe", "prefetch")
+
+
+class EventLog(Sequence):
+    """Sim's append-only log, read as a sequence of SimEvent: one 14-byte
+    record per entry (float64 time, kind and cause codes, uint32 index into
+    a table of domains). An iteration reads the entries present at its start."""
+
+    _RECORD = struct.Struct("<dBBI")
+
+    def __init__(self) -> None:
+        self._data = bytearray()
+        self._names: dict[str, int] = {}  # in index order
+
+    def append(self, at: float, kind: str, domain: str, cause: str = "") -> None:
+        index = self._names.setdefault(domain, len(self._names))
+        self._data += self._RECORD.pack(at, _KINDS.index(kind), _CAUSES.index(cause), index)
+
+    def __len__(self) -> int:
+        return len(self._data) // self._RECORD.size
+
+    def _events(self, start: int, stop: int) -> Iterator[SimEvent]:
+        names, size = list(self._names), self._RECORD.size
+        # a slice is a copy: an export of the bytearray would block appends
+        for at, kind, cause, name in self._RECORD.iter_unpack(self._data[start * size:stop * size]):
+            yield SimEvent(at, _KINDS[kind], names[name], _CAUSES[cause])
+
+    def __getitem__(self, index):
+        positions = range(len(self))[index]  # negative indexes, IndexError, slices
+        if isinstance(positions, int):
+            return next(self._events(positions, positions + 1))
+        if positions.step == 1:
+            return list(self._events(positions.start, positions.stop))
+        return [self[position] for position in positions]
+
+    def __iter__(self) -> Iterator[SimEvent]:
+        return self._events(0, len(self))
 
 
 @dataclass
@@ -280,14 +322,14 @@ class Sim:
     All state mutation funnels through _advance_to, _refresh and
     handle_query; external callers interact via handle_query/advance,
     keeping the event log's ordering exact regardless of how lazily the
-    simulation is driven.
+    simulation is driven. `log`, an EventLog, is the ground truth.
     """
 
     def __init__(self, config: SimConfig, start_time: float = 0.0):
         self.config = config
         self.time = float(start_time)
         self.rng = random.Random(config.seed)
-        self.log: list[SimEvent] = []
+        self.log = EventLog()
         self.cache: dict[str, _CacheEntry] = {}
         self._heap: list[tuple[float, int, str, object]] = []
         self._seq = 0
@@ -330,7 +372,7 @@ class Sim:
             elif kind == "expiry":
                 domain, generation = payload
                 if self._is_current(domain, generation):
-                    self.log.append(SimEvent(at, "expiry", domain))
+                    self.log.append(at, "expiry", domain)
             elif kind == "prefetch":
                 domain, generation = payload
                 if self._is_current(domain, generation) and self.cache[domain].expires_at > at:
@@ -371,7 +413,7 @@ class Sim:
             entry.refreshed_at = at
             entry.expires_at = at + max_ttl
             entry.max_ttl = max_ttl
-        self.log.append(SimEvent(at, "cache_refresh", domain, cause))
+        self.log.append(at, "cache_refresh", domain, cause)
         self._schedule(entry.expires_at, "expiry", (domain, entry.generation))
         rate = self._poisson_rate.get(domain)
         if rate:
@@ -398,7 +440,7 @@ class Sim:
         return max(0.0, entry.expires_at - at)
 
     def _client_lookup(self, at: float, domain: str) -> None:
-        self.log.append(SimEvent(at, "client_query", domain))
+        self.log.append(at, "client_query", domain)
         remaining = self._remaining(domain, at)
         anomaly = self.config.anomaly
         if remaining > 0:
@@ -435,7 +477,7 @@ class Sim:
             raise ValueError(f"query at {at} is before simulation time {self.time}")
         self._advance_to(at)
         domain = wire.normalize_name(query.qname)
-        self.log.append(SimEvent(at, "probe_query", domain))
+        self.log.append(at, "probe_query", domain)
 
         zone = _zone_for(self.config.zones, domain)
         if zone is None:

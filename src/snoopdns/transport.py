@@ -105,7 +105,6 @@ class Prober:
     qtype: int = wire.RecordType.A
     timeout: float = 2.0
     retries: int = 3
-    sent_times: list[float] | None = None
 
     def probe(self, server: str, name: str, recursion_desired: bool = True,
               qtype: int | None = None) -> ProbeReply:
@@ -120,8 +119,6 @@ class Prober:
             query = wire.DnsQuery(self.rng.randrange(0x10000), name, qtype,
                                   wire.RecordClass.IN, recursion_desired)
             payload = wire.encode_query(query)
-            if self.sent_times is not None:
-                self.sent_times.append(self.clock.now())
             try:
                 data, rtt_ms, sent_at = self.transport.exchange(server, payload, self.timeout)
             except ProbeTimeout as exc:

@@ -288,6 +288,40 @@ class TestJsonlLog:
         assert log.errors == []
         assert log.corrupt_lines == 4
 
+    def test_numbers_that_are_not_json_numbers_are_corrupt(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        censored = parsed(sample_observation(censored=True), "s")
+        uncensored = parsed(sample_observation(), "s")
+        event = uncensored["event"]
+        path.write_text("\n".join(json.dumps(record) for record in [
+            {**censored, "window_start": 10},  # an int is a JSON number
+            {**censored, "window_start": "300"},
+            {**censored, "probe_rtt_ms": True},
+            {**censored, "window_length": "1e3"},
+            {**censored, "window_length": 10 ** 400},  # no float holds it
+            {**uncensored, "event": {**event, "delay_after_expiry": "120"}},
+            {**uncensored, "event": {**event, "inferred_refresh_time": False}},
+        ]) + "\n")
+        log = load_observations(str(path))
+        assert log.observations == [sample_observation(censored=True)]
+        assert log.corrupt_lines == 6
+
+    def test_reloaded_records_share_their_strings(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        with open(path, "w", encoding="utf-8") as handle:
+            writer = ObservationWriter(handle, "scan-shared")
+            for i in range(6):
+                writer.write(sample_observation(censored=i % 2 == 0))
+                writer.write(CycleError("sim", "a.test", "rd0", float(i), "timeout", "m"))
+        log = load_observations(str(path))
+        assert len(log.observations) == len(log.errors) == 6
+        for name in ("server", "domain", "method", "scan_id"):
+            values = [getattr(o, name) for o in log.observations if name != "scan_id"]
+            values += [error[name] for error in log.errors]
+            first = {}
+            assert all(first.setdefault(value, value) is value for value in values)
+        assert len({o.method for o in log.observations}) == 2
+
     def test_interrupted_final_line_is_survivable(self, tmp_path):
         path = tmp_path / "log.jsonl"
         good = record_line(sample_observation(), "s")

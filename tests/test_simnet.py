@@ -1,15 +1,19 @@
 """Ground-truth simulator: config validation, determinism, cache model."""
 
+import hashlib
 import heapq
 import json
 import random
+import tracemalloc
+from collections.abc import Sequence
 
 import pytest
 from scipy import stats
 
 from snoopdns import wire
 from snoopdns.clock import SystemClock, VirtualClock
-from snoopdns.simnet import (ConfigError, Sim, SimExchange, build_sim,
+from snoopdns.scan import run_batch
+from snoopdns.simnet import (ConfigError, Sim, SimEvent, SimExchange, build_sim,
                              config_from_dict, load_scenario, serve_udp)
 from snoopdns.transport import Prober, UdpExchange
 
@@ -162,6 +166,138 @@ class TestConfigValidation:
         path.write_text(json.dumps(base_config()))
         sim = build_sim(load_scenario(str(path)))
         assert "a.test" in sim.config.zones
+
+
+def pinned_log_batch(anomaly):
+    """A short run_batch over Poisson and periodic clients, with the given
+    anomaly; its Sim.log is pinned below."""
+    zones, clients = {}, []
+    for i in range(6):
+        name = f"log{i}.example"
+        zones[name] = {"address": f"10.1.{i}.1", "ttl": (60, 300)[i % 2]}
+        process = ({"kind": "poisson", "rate": 0.01 * (i + 1)} if i % 3 else
+                   {"kind": "periodic", "interval": 45.0 + 10 * i})
+        clients.append({"domain": name, "process": process})
+    return run_batch({"seed": 5, "zones": zones, "clients": clients, "anomaly": anomaly},
+                     duration=1200.0, required_confirmations=3)
+
+
+def mixed_sim():
+    """A simulator whose log holds every kind of entry, probes included."""
+    config = base_config(seed=8, clients=[
+        {"domain": "a.test", "process": {"kind": "poisson", "rate": 0.05}},
+        {"domain": "b.test", "process": {"kind": "periodic", "interval": 25.0}}])
+    config["zones"]["b.test"] = {"address": "10.0.0.2", "ttl": 30}
+    sim = build_sim(config)
+    for at in range(10, 400, 40):
+        sim.handle_query(query("a.test", rd=at % 80 == 10), float(at))
+        sim.handle_query(query("B.Test."), at + 0.5)
+    sim.advance(100.0)
+    return sim
+
+
+class TestEventLog:
+    @pytest.mark.parametrize("anomaly,digest", [
+        ({"kind": "pre_refresh", "remaining_low": 0.5, "remaining_high": 1.5},
+         "6bbc5833661670371ae81d3e3e47e9ce3dc9a1d29c5cdd7ba80433bea6967fe1"),
+        ({"kind": "none"},
+         "14a6e7b9f249bc6428e6fda94c94844305b3bd4a269f13880c18c4b839f5210e"),
+    ])
+    def test_ground_truth_is_pinned(self, anomaly, digest):
+        # The digest was computed when Sim.log was a list of SimEvent; a
+        # change to how the log is stored must leave every entry alone.
+        log = pinned_log_batch(anomaly).sim.log
+        kinds = {(e.kind, e.cause) for e in log}
+        assert ("probe_query", "") in kinds and ("client_query", "") in kinds
+        assert ("cache_refresh", "prefetch" if anomaly["kind"] != "none" else "client") in kinds
+        sha = hashlib.sha256()
+        for e in log:
+            sha.update(repr((repr(e.at), e.kind, e.domain, e.cause)).encode())
+        assert sha.hexdigest() == digest
+
+    def test_is_a_read_only_sequence_of_sim_events(self):
+        log = mixed_sim().log
+        assert isinstance(log, Sequence)
+        assert all(type(e) is SimEvent for e in log)
+        assert {e.kind for e in log} == {"client_query", "cache_refresh",
+                                         "probe_query", "expiry"}
+        with pytest.raises(TypeError):
+            log[0] = log[1]
+
+    def test_length_counts_every_entry(self):
+        sim = build_sim(base_config())
+        assert len(sim.log) == 0
+        sim.handle_query(query("a.test"), 1.0)  # a probe and the refresh it causes
+        sim.handle_query(query("missing.example"), 2.0)
+        sim.advance(100.0)  # the expiry
+        assert len(sim.log) == 4
+        assert [e.kind for e in sim.log] == ["probe_query", "cache_refresh",
+                                             "probe_query", "expiry"]
+
+    def test_iteration_equals_indexing(self):
+        log = mixed_sim().log
+        entries = list(log)
+        assert len(entries) == len(log) > 30
+        assert entries == [log[i] for i in range(len(log))]
+        assert entries[0] == log[0] and entries[-1] == log[len(log) - 1]
+
+    def test_negative_indexes_and_index_error(self):
+        log = mixed_sim().log
+        entries = list(log)
+        for i in range(1, len(log) + 1):
+            assert log[-i] == entries[-i]
+        for bad in (len(log), -len(log) - 1):
+            with pytest.raises(IndexError):
+                log[bad]
+        with pytest.raises(TypeError):
+            log[1.0]
+
+    def test_slices_match_a_list(self):
+        log = mixed_sim().log
+        entries = list(log)
+        n = len(entries)
+        for cut in (slice(None), slice(5, None), slice(None, -3), slice(3, 17),
+                    slice(-8, -2), slice(20, 4), slice(n, n + 5), slice(None, None, 3),
+                    slice(2, -2, 5), slice(None, None, -1), slice(-2, 3, -4)):
+            assert log[cut] == entries[cut]
+
+    def test_iteration_sees_the_entries_present_when_it_starts(self):
+        sim = mixed_sim()
+        before = list(sim.log)
+        reading = iter(sim.log)
+        first = next(reading)
+        sim.advance(500.0)  # appends while the iteration is open
+        assert len(sim.log) > len(before)
+        assert [first, *reading] == before
+
+    def test_advance_returns_exactly_the_new_entries(self):
+        sim = mixed_sim()
+        before = list(sim.log)
+        start = sim.time
+        new = sim.advance(300.0)
+        assert new and list(sim.log) == before + new
+        assert all(start < e.at <= start + 300.0 for e in new)
+        assert sim.advance(0.0) == []
+
+    def test_memory_per_entry_is_bounded(self):
+        # Periodic lookups log every arrival, so this writes over 10^5
+        # entries. A list of SimEvent costs about 110 B per entry.
+        config = {"seed": 3, "zones": {}, "clients": []}
+        for i in range(20):
+            config["zones"][f"m{i}.test"] = {"address": "10.0.0.1", "ttl": 30}
+            config["clients"].append({"domain": f"m{i}.test", "process": {
+                "kind": "periodic", "interval": 1.0 + i / 20}})
+        sim = build_sim(config)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(100):
+                sim.advance(100.0)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(sim.log) >= 10 ** 5
+        assert grown / len(sim.log) <= 24
 
 
 class TestDeterminism:

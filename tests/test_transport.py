@@ -127,12 +127,11 @@ class TestProber:
     def test_limiter_paces_sends(self):
         clock = VirtualClock()
         transport = ScriptedExchange(clock, [answer()] * 4)
-        sent = []
         prober = Prober(transport=transport, clock=clock,
-                        limiter=RateLimiter(2.0, clock), sent_times=sent)
-        for _ in range(4):
-            prober.probe("sim", "a.bc")
+                        limiter=RateLimiter(2.0, clock))
+        sent = [prober.probe("sim", "a.bc").sent_at for _ in range(4)]
         gaps = [b - a for a, b in zip(sent, sent[1:])]
+        assert len(gaps) == 3
         assert all(gap >= 0.5 - 1e-9 for gap in gaps)
 
 
