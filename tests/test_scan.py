@@ -11,7 +11,7 @@ from snoopdns import wire
 from snoopdns.clock import VirtualClock
 from snoopdns.corpus import ObservationWriter
 from snoopdns.ratelimit import RateLimiter
-from snoopdns.engine import discover_max_ttl
+from snoopdns.engine import calibrate_timing, discover_max_ttl
 from snoopdns.scan import (BatchResult, ScanResult, discover_all, run_batch,
                            run_scan, true_client_rates)
 from snoopdns.simnet import SimExchange, build_sim, config_from_dict
@@ -372,3 +372,44 @@ class TestRunBatch:
         assert text.count('"kind": "error"') == 5
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "74ce0c0b72835f0274f18b977c2c299046e96f8bfc57a66d08d06ee9ec8f994a")
+
+
+PINNED_METHOD_LOGS = {
+    "rd0": ("b542100463087e70aac161c4883f5215105597d32058b928b9e3d12be81f43a5", 3),
+    "timing": ("093467ed188475bf812b38f681563e9a4cf32667970bb5e3dae6fe75c0a0fee6", 3),
+    "ttl_recursive": ("fa6cca37d97133df8210f5812c52b76afdd591ec432fae6918e2b8fb2771188e", 3),
+}
+
+
+@pytest.mark.parametrize("method", sorted(PINNED_METHOD_LOGS))
+def test_method_log_bytes_are_pinned(method):
+    # As test_log_bytes_are_pinned, for each method's own machine. One
+    # domain is lost after three answers, so each log carries its
+    # method's timeout records, stamped where that machine stamps them.
+    zones = {"a.example": {"address": "10.1.0.1", "ttl": 60},
+             "b.example": {"address": "10.1.0.2", "ttl": 120},
+             "lost.example": {"address": "10.1.0.3", "ttl": 60},
+             "cal.example": {"address": "10.1.0.4", "ttl": 3600}}
+    clients = [{"domain": name, "process": {"kind": "poisson", "rate": rate}}
+               for name, rate in (("a.example", 0.02), ("b.example", 0.005),
+                                  ("lost.example", 0.01))]
+    clock = VirtualClock()
+    sim = build_sim(config_from_dict({"seed": 23, "zones": zones, "clients": clients}),
+                    start_time=clock.now())
+    prober = Prober(transport=DroppingExchange(SimExchange(sim, clock), clock,
+                                               "lost.example", answered=3),
+                    clock=clock, rng=random.Random(23))
+    domains = ["a.example", "b.example", "lost.example"]
+    calibrations = None
+    if method == "timing":
+        calibration = calibrate_timing(prober, "sim", "cal.example")
+        calibrations = {d: calibration for d in domains}
+    out = io.StringIO()
+    run_scan(prober, clock, "sim", domains, method=method,
+             max_ttls={d: zones[d]["ttl"] for d in domains},
+             calibrations=calibrations, duration=3600.0,
+             writer=ObservationWriter(out, f"pinned-{method}"))
+    text = out.getvalue()
+    digest, timeouts = PINNED_METHOD_LOGS[method]
+    assert text.count('"error_kind": "timeout"') == timeouts
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
