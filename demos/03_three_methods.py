@@ -19,8 +19,9 @@ Run: python3 demos/03_three_methods.py
 import random
 
 from snoopdns.clock import VirtualClock
-from snoopdns.engine import calibrate_timing, snoop_domain
-from snoopdns.estimation import aggregate, estimate
+from snoopdns.engine import calibrate_timing
+from snoopdns.estimation import estimate
+from snoopdns.scan import run_scan
 from snoopdns.simnet import SimExchange, build_sim
 from snoopdns.transport import Prober
 
@@ -48,15 +49,15 @@ print("observed for 4 virtual hours by each method in turn.\n")
 results = {}
 for salt, method in enumerate(("rd0", "ttl_recursive", "timing")):
     prober, clock = fresh_prober(salt)
-    calibration = None
+    calibrations = None
     if method == "timing":
-        calibration = calibrate_timing(prober, "sim", "probe.example")
-    items = list(snoop_domain(prober, clock, "sim", "api.example",
-                              method, max_ttl=MAX_TTL, duration=4 * 3600.0,
-                              calibration=calibration))
-    stats = aggregate(items).get("api.example")
+        calibrations = {"api.example": calibrate_timing(prober, "sim", "probe.example")}
+    result = run_scan(prober, clock, "sim", ["api.example"], method=method,
+                      max_ttls={"api.example": MAX_TTL}, duration=4 * 3600.0,
+                      calibrations=calibrations)
+    stats = result.stats()["api.example"]
     est = results[method] = estimate(stats)
-    events = [i for i in items if getattr(i, "event", None) is not None]
+    events = [o for o in result.observations if o.event is not None]
     print(f"{method:>14}: {stats.cycles:3d} cycles, {len(events):2d} events, "
           f"{stats.observed_seconds:7.0f} s observed")
     print(f"{'':>14}  estimate {est.arrival_rate_per_s:.5f}/s "

@@ -77,7 +77,7 @@ print(f"  mean refresh period = observed / events "
       f"= {est_busy.mean_refresh_period_s:.0f} s\n")
 
 print("step 3: more data narrows the interval")
-doubled = busy.merge(busy)
+doubled = aggregate(observations + observations)["busy.example"]
 est_doubled = estimate(doubled)
 print(f"  one scan:  {est_busy.arrival_rate_per_s:.6f} "
       f"+/- {est_busy.ci_half_width:.6f}")

@@ -19,8 +19,7 @@ from .engine import (DEFAULT_TUNING, INVALIDATING_KINDS, CycleError,
                      TtlExceedsMax, TtlRecursiveMachine, Tuning,
                      UnresolvableDomain, build_machine, calibrate_timing,
                      check_rd_behavior, classify_timing, classify_window_read,
-                     discover_max_ttl, run_cycle_ttl_recursive, run_probe_rd0,
-                     snap_to_grid, snoop_domain, ttl_grace)
+                     discover_max_ttl, snap_to_grid, ttl_grace)
 from .estimation import (ArrivalEstimate, DomainStats, NoObservations, aggregate,
                          estimate, format_ranking_table, poisson_pmf,
                          rank_domains, spearman_rho, write_ranking_csv)
@@ -50,8 +49,7 @@ __all__ = [
     "TimingCalibration", "TimingMachine", "TtlExceedsMax",
     "TtlRecursiveMachine", "Tuning", "UnresolvableDomain", "build_machine",
     "calibrate_timing", "check_rd_behavior", "classify_timing",
-    "classify_window_read", "discover_max_ttl", "run_cycle_ttl_recursive",
-    "run_probe_rd0", "snap_to_grid", "snoop_domain", "ttl_grace",
+    "classify_window_read", "discover_max_ttl", "snap_to_grid", "ttl_grace",
     "ArrivalEstimate", "DomainStats", "NoObservations", "aggregate",
     "estimate", "format_ranking_table", "poisson_pmf", "rank_domains",
     "spearman_rho", "write_ranking_csv",

@@ -296,6 +296,10 @@ def cmd_snoop(args) -> int:
     cycles = _setting(args, config, "cycles", None, int)
     if duration is None and cycles is None:
         raise UsageError("give a budget: --duration seconds or --cycles N")
+    if duration is not None and not duration > 0:
+        raise UsageError(f"--duration must be positive, got {duration:g}")
+    if cycles is not None and cycles < 1:
+        raise UsageError(f"--cycles must be at least 1, got {cycles}")
     window_fraction = _setting(args, config, "window_fraction", 1.0, float)
     probe_interval = _setting(args, config, "probe_interval", None, float)
     prober = _make_prober(args, config)

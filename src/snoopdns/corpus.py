@@ -20,6 +20,8 @@ from .engine import CycleError, RefreshEvent, RefreshObservation, SnoopError
 from .transport import Prober, ProbeTimeout
 
 SCHEMA_VERSION = 1
+# the fields every record carries as a JSON string
+_TEXT_KEYS = ("server", "domain", "method", "scan_id")
 
 
 class ParseError(ValueError):
@@ -225,6 +227,18 @@ def _number(value: object) -> float:
     return float(value)
 
 
+def _text(value: object) -> str:
+    if type(value) is not str:
+        raise ValueError(f"not a JSON string: {value!r}")
+    return value
+
+
+def _error_ok(record: dict) -> bool:
+    return (_schema_ok(record) and type(record.get("at")) in (float, int)
+            and type(record.get("error_kind")) is str
+            and type(record.get("message")) is str)
+
+
 def observation_from_json(record: dict) -> RefreshObservation:
     if record.get("kind") != "observation":
         raise ParseError(f"not an observation record: kind={record.get('kind')!r}")
@@ -240,9 +254,9 @@ def observation_from_json(record: dict) -> RefreshObservation:
                 delay_after_expiry=_number(record["event"]["delay_after_expiry"]),
                 inferred_refresh_time=_number(record["event"]["inferred_refresh_time"]))
         observation = RefreshObservation(
-            server=str(record["server"]),
-            domain=str(record["domain"]),
-            method=str(record["method"]),
+            server=_text(record["server"]),
+            domain=_text(record["domain"]),
+            method=_text(record["method"]),
             window_start=_number(record["window_start"]),
             window_length=_number(record["window_length"]),
             probe_rtt_ms=_number(record["probe_rtt_ms"]),
@@ -290,8 +304,10 @@ def load_observations(path: str) -> ObservationLog:
     """Read a JSONL observation log, skipping corrupt lines.
 
     Corrupt means undecodable JSON, an unknown kind, a bad schema
-    version, or a record failing observation validation; each is
-    counted, never fatal, so partial logs from interrupted scans load.
+    version, a server, domain, method or scan_id that is not a JSON
+    string, an error record without a string error_kind and message and
+    a JSON-number at, or a record failing observation validation; each
+    is counted, never fatal, so partial logs from interrupted scans load.
     A load shares one string per distinct server, domain, method, scan id.
     """
     log = ObservationLog()
@@ -309,9 +325,13 @@ def load_observations(path: str) -> ObservationLog:
             if not isinstance(record, dict):
                 log.corrupt_lines += 1
                 continue
-            for key in ("server", "domain", "method", "scan_id"):
-                if type(record.get(key)) is str:
-                    record[key] = shared.setdefault(record[key], record[key])
+            try:
+                for key in _TEXT_KEYS:
+                    value = _text(record.get(key))
+                    record[key] = shared.setdefault(value, value)
+            except ValueError:
+                log.corrupt_lines += 1
+                continue
             kind = record.get("kind")
             if kind == "observation":
                 try:
@@ -319,11 +339,10 @@ def load_observations(path: str) -> ObservationLog:
                 except (ParseError, ValueError):
                     log.corrupt_lines += 1
                     continue
-            elif kind == "error" and _schema_ok(record):
+            elif kind == "error" and _error_ok(record):
                 log.errors.append(record)
             else:
                 log.corrupt_lines += 1
                 continue
-            if "scan_id" in record:
-                log.scan_ids.add(str(record["scan_id"]))
+            log.scan_ids.add(record["scan_id"])
     return log

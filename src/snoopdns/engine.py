@@ -19,14 +19,15 @@ methods recover when a domain's record was last refreshed:
 
 Maximum-TTL discovery and the probing machines are stepped by a
 scheduler rather than sleeping internally, so one thread can interleave
-many domains on either a virtual or the real clock. discover_max_ttl
-and the single-cycle convenience wrappers drive one machine to its
-first result.
+many domains on either a virtual or the real clock. That scheduler is
+_run_machines, at the end of this module: scan runs every scan and
+discovery on it, and discover_max_ttl drives a single machine on it.
 """
 
+import heapq
 import statistics
-from dataclasses import dataclass, field, replace
-from typing import Iterator
+from dataclasses import dataclass, field
+from typing import Callable
 
 from . import wire
 from .clock import Clock
@@ -226,14 +227,10 @@ class TimingCalibration:
     separation_quality: float
 
 
+# the countdown verdicts that end a discovery
 _ERROR_TYPES = {
-    "timeout": ProbeTimeout,
-    "unresolvable": UnresolvableDomain,
-    "ttl_exceeds_max": TtlExceedsMax,
-    "inconsistent_ttl": InconsistentTtl,
     "non_monotonic_ttl": NonMonotonicTtl,
     "server_prefetches": ServerPrefetches,
-    "rd_not_honored": RdNotHonored,
 }
 
 # server behaviors that invalidate the method for a domain: everything
@@ -353,9 +350,6 @@ class DiscoveryMachine:
         self._counts: dict[int, int] = {}
         self._snapped: dict[int, bool] = {}
 
-    def start_at(self, now: float) -> float:
-        return now
-
     def step(self, now: float) -> tuple[float | None, list]:
         if self.done:
             return None, []
@@ -431,10 +425,7 @@ def discover_max_ttl(prober: Prober, clock: Clock, server: str, domain: str,
     machine = DiscoveryMachine(prober, server, domain,
                                required_confirmations=required_confirmations,
                                tuning=tuning)
-    wake = machine.start_at(clock.now())
-    while wake is not None:
-        clock.sleep_until(wake)
-        wake, _ = machine.step(clock.now())
+    _run_machines(clock, [machine], clock.now())
     if machine.error is not None:
         raise machine.error
     return machine.estimate
@@ -493,7 +484,49 @@ def classify_timing(rtt_ms: float, calibration: TimingCalibration,
     return "abstain"
 
 
-class TtlRecursiveMachine:
+class _ProbingMachine:
+    """What the three probing machines share: the domain they probe, the
+    completed-cycle count that max_cycles budgets read, and the run of
+    timeouts that ends the domain at failure_limit in a row."""
+
+    method: str
+
+    def __init__(self, prober: Prober, server: str, domain: str, max_ttl: int,
+                 tuning: Tuning):
+        self.prober = prober
+        self.server = server
+        self.domain = domain
+        self.max_ttl = max_ttl
+        self.tuning = tuning
+        self.cycles_completed = 0
+        self.done = False
+        self._timeouts = 0
+
+    def _error(self, at: float, kind: str, message: str) -> CycleError:
+        return CycleError(self.server, self.domain, self.method, at, kind, message)
+
+    def _probe(self, items: list, recursion_desired: bool = True,
+               stamp: float | None = None) -> ProbeReply | None:
+        """Send one probe, or annotate its timeout and return None.
+
+        The timeout is stamped at `stamp`, or once the retries gave up
+        when it is None.
+        """
+        try:
+            reply = self.prober.probe(self.server, self.domain,
+                                      recursion_desired=recursion_desired)
+        except ProbeTimeout as exc:
+            self._timeouts += 1
+            at = self.prober.clock.now() if stamp is None else stamp
+            items.append(self._error(at, "timeout", str(exc)))
+            if self._timeouts >= self.tuning.failure_limit:
+                self.done = True
+            return None
+        self._timeouts = 0
+        return reply
+
+
+class TtlRecursiveMachine(_ProbingMachine):
     """Expiry-timed recursive probing of one domain.
 
     Each cycle watches the window [E, E + W] where E is the last known
@@ -510,43 +543,18 @@ class TtlRecursiveMachine:
                  window: float, tuning: Tuning = DEFAULT_TUNING):
         if not 0 < window <= max_ttl:
             raise ValueError(f"window must be in (0, max_ttl], got {window} for {max_ttl}")
-        self.prober = prober
-        self.server = server
-        self.domain = domain
-        self.max_ttl = max_ttl
+        super().__init__(prober, server, domain, max_ttl, tuning)
         self.window = window
-        self.tuning = tuning
-        self.cycles_completed = 0
-        self.done = False
         self._mode = "init"
         self._expiry = 0.0
         self._last_read = 0.0
-        self._timeouts = 0
         self._failures = 0
         self._static_runs = 0
-
-    def start_at(self, now: float) -> float:
-        return now
-
-    def _error(self, at: float, kind: str, message: str) -> CycleError:
-        return CycleError(self.server, self.domain, self.method, at, kind, message)
-
-    def _probe(self, items: list) -> ProbeReply | None:
-        try:
-            reply = self.prober.probe(self.server, self.domain, recursion_desired=True)
-        except ProbeTimeout as exc:
-            self._timeouts += 1
-            items.append(self._error(self.prober.clock.now(), "timeout", str(exc)))
-            if self._timeouts >= self.tuning.failure_limit:
-                self.done = True
-            self._mode = "init"
-            return None
-        self._timeouts = 0
-        return reply
 
     def _read(self, items: list) -> tuple[ProbeReply, int] | None:
         reply = self._probe(items)
         if reply is None:
+            self._mode = "init"
             return None
         if reply.response.truncated:
             items.append(self._error(reply.sent_at, "truncated",
@@ -662,7 +670,7 @@ class TtlRecursiveMachine:
         return self.tuning.timeout_backoff if self._timeouts else self.tuning.noanswer_backoff
 
 
-class Rd0Machine:
+class Rd0Machine(_ProbingMachine):
     """Non-polluting probing with RD=0 at a fixed interval.
 
     An answer TTL T places the last refresh at (probe time - (max_ttl -
@@ -698,40 +706,20 @@ class Rd0Machine:
             raise ValueError(
                 f"probe_interval must be in (0, max_ttl] so no refresh is missed, "
                 f"got {probe_interval} for {max_ttl}")
-        self.prober = prober
-        self.server = server
-        self.domain = domain
-        self.max_ttl = max_ttl
+        super().__init__(prober, server, domain, max_ttl, tuning)
         self.interval = probe_interval
-        self.tuning = tuning
-        self.cycles_completed = 0
-        self.done = False
         self._last_probe: float | None = None
         self._last_refresh: float | None = None
         self._fetch_signatures = 0
         self._early_refreshes = 0
-        self._timeouts = 0
-
-    def start_at(self, now: float) -> float:
-        return now
-
-    def _error(self, at: float, kind: str, message: str) -> CycleError:
-        return CycleError(self.server, self.domain, self.method, at, kind, message)
 
     def step(self, now: float) -> tuple[float | None, list]:
         items: list = []
         if self.done:
             return None, items
-        try:
-            reply = self.prober.probe(self.server, self.domain, recursion_desired=False)
-        except ProbeTimeout as exc:
-            self._timeouts += 1
-            items.append(self._error(now, "timeout", str(exc)))
-            if self._timeouts >= self.tuning.failure_limit:
-                self.done = True
-                return None, items
-            return now + self.interval, items
-        self._timeouts = 0
+        reply = self._probe(items, recursion_desired=False, stamp=now)
+        if reply is None:
+            return (None if self.done else now + self.interval), items
         sent = reply.sent_at
         ttl = _answer_ttl(reply, self.domain)
         span = None if self._last_probe is None else sent - self._last_probe
@@ -808,7 +796,7 @@ class Rd0Machine:
         self.cycles_completed += 1
 
 
-class TimingMachine:
+class TimingMachine(_ProbingMachine):
     """Expiry-window probing driven by response-time classification.
 
     For servers whose TTL answers cannot be trusted, each cycle probes
@@ -826,39 +814,19 @@ class TimingMachine:
                  tuning: Tuning = DEFAULT_TUNING):
         if not 0 < window <= max_ttl:
             raise ValueError(f"window must be in (0, max_ttl], got {window} for {max_ttl}")
-        self.prober = prober
-        self.server = server
-        self.domain = domain
-        self.max_ttl = max_ttl
+        super().__init__(prober, server, domain, max_ttl, tuning)
         self.window = window
         self.calibration = calibration
-        self.tuning = tuning
-        self.cycles_completed = 0
-        self.done = False
         self._expiry_bound: float | None = None
-        self._timeouts = 0
-
-    def start_at(self, now: float) -> float:
-        return now
-
-    def _error(self, at: float, kind: str, message: str) -> CycleError:
-        return CycleError(self.server, self.domain, self.method, at, kind, message)
 
     def step(self, now: float) -> tuple[float | None, list]:
         items: list = []
         if self.done:
             return None, items
-        try:
-            reply = self.prober.probe(self.server, self.domain, recursion_desired=True)
-        except ProbeTimeout as exc:
-            self._timeouts += 1
-            items.append(self._error(now, "timeout", str(exc)))
-            if self._timeouts >= self.tuning.failure_limit:
-                self.done = True
-                return None, items
+        reply = self._probe(items, stamp=now)
+        if reply is None:
             self._expiry_bound = None
-            return now + self.tuning.timeout_backoff, items
-        self._timeouts = 0
+            return (None if self.done else now + self.tuning.timeout_backoff), items
         sent = reply.sent_at
 
         if self._expiry_bound is None:
@@ -907,88 +875,30 @@ def build_machine(method: str, prober: Prober, server: str, domain: str, *,
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
-def snoop_domain(prober: Prober, clock: Clock, server: str, domain: str, method: str, *,
-                 max_ttl: int, window: float | None = None,
-                 probe_interval: float | None = None,
-                 calibration: TimingCalibration | None = None,
-                 duration: float | None = None, max_cycles: int | None = None,
-                 tuning: Tuning = DEFAULT_TUNING) -> Iterator[RefreshObservation | CycleError]:
-    """Stream observations for one domain until the budget runs out.
+def _run_machines(clock: Clock, machines: list, start: float,
+                  emit: Callable[[list], None] | None = None, *,
+                  deadline: float | None = None,
+                  max_cycles: int | None = None) -> None:
+    """Step machines in wake-time order until each is done or retired.
 
-    Yields RefreshObservation and CycleError items in probe order.
-    Per-cycle anomalies are annotated into the stream and the scan
-    continues. Two detections end the domain by raising instead,
-    because they invalidate the method itself against this server: a
-    pre-expiry refresher (ServerPrefetches: its cache never empties, so
-    expiry-timed observations mean nothing) and an ignored RD bit
-    (RdNotHonored: our own probes would pollute every window).
+    Every machine first wakes at start; ties go to the machine queued
+    first. emit receives every non-empty item list a step returns. A
+    machine whose next wake lands past the deadline, or that has
+    completed max_cycles cycles, is retired.
     """
-    if max_cycles is not None and max_cycles <= 0:
-        return
-    if duration is not None and duration <= 0:
-        return
-    machine = build_machine(method, prober, server, domain, max_ttl=max_ttl,
-                            window=window, probe_interval=probe_interval,
-                            calibration=calibration, tuning=tuning)
-    start = clock.now()
-    wake = machine.start_at(start)
-    while True:
-        if duration is not None and wake > start + duration:
-            return
+    heap = [(start, seq, machine) for seq, machine in enumerate(machines)]
+    seq = len(heap)
+    while heap:
+        wake, _, machine = heapq.heappop(heap)
+        if deadline is not None and wake > deadline:
+            continue
         if max_cycles is not None and machine.cycles_completed >= max_cycles:
-            return
+            continue
         clock.sleep_until(wake)
-        wake, items = machine.step(clock.now())
-        for item in items:
-            if isinstance(item, CycleError) and item.kind in INVALIDATING_KINDS:
-                raise _ERROR_TYPES[item.kind](item.message)
-            yield item
-        if wake is None or machine.done:
-            return
-
-
-def _drive_single(machine, clock: Clock) -> RefreshObservation:
-    """Run one machine until its first observation; errors raise."""
-    wake = machine.start_at(clock.now())
-    while wake is not None:
-        clock.sleep_until(wake)
-        wake, items = machine.step(clock.now())
-        for item in items:
-            if isinstance(item, RefreshObservation):
-                return item
-            error_type = _ERROR_TYPES.get(item.kind, SnoopError)
-            raise error_type(item.message)
-    raise SnoopError("probing ended without an observation")
-
-
-def run_cycle_ttl_recursive(prober: Prober, clock: Clock, server: str, domain: str,
-                            max_ttl: int, window: float,
-                            tuning: Tuning = DEFAULT_TUNING) -> RefreshObservation:
-    """Run one full expiry-watch cycle and return its observation.
-
-    Two probes: one fixes the expiry instant, the second (window seconds
-    past it) classifies the cycle. Any anomaly raises instead of being
-    annotated; pre-expiry checkpoints are left to streaming scans.
-    """
-    machine = TtlRecursiveMachine(prober, server, domain, max_ttl, window,
-                                  tuning=replace(tuning, checkpoint_every=0))
-    return _drive_single(machine, clock)
-
-
-def run_probe_rd0(machine: Rd0Machine, clock: Clock) -> RefreshObservation | None:
-    """Advance an rd0 prober by one probe; returns its observation, if any.
-
-    The first probe of a run only establishes the baseline and yields
-    None. Anomalies raise.
-    """
-    wake = machine.start_at(clock.now())
-    clock.sleep_until(wake)
-    _, items = machine.step(clock.now())
-    result = None
-    for item in items:
-        if isinstance(item, RefreshObservation):
-            result = item
-        else:
-            error_type = _ERROR_TYPES.get(item.kind, SnoopError)
-            raise error_type(item.message)
-    return result
+        next_wake, items = machine.step(clock.now())
+        if items and emit is not None:
+            emit(items)
+        if next_wake is None or machine.done:
+            continue
+        heapq.heappush(heap, (next_wake, seq, machine))
+        seq += 1

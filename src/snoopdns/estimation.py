@@ -64,18 +64,6 @@ class DomainStats:
                 self.observed_seconds += observation.event.delay_after_expiry
                 self.events += 1
 
-    def merge(self, other: "DomainStats") -> "DomainStats":
-        if other.domain != self.domain:
-            raise ValueError(f"cannot merge stats for {other.domain} into {self.domain}")
-        return DomainStats(
-            domain=self.domain,
-            events=self.events + other.events,
-            observed_seconds=self.observed_seconds + other.observed_seconds,
-            cycles=self.cycles + other.cycles,
-            censored=self.censored + other.censored,
-            malformed=self.malformed + other.malformed,
-            methods=self.methods | other.methods)
-
 
 def aggregate(observations: Iterable[RefreshObservation]) -> dict[str, DomainStats]:
     """Fold an observation stream into per-domain exposure tallies.

@@ -1,24 +1,22 @@
 """Multi-domain scan orchestration.
 
-One thread interleaves every domain's machine through a wake-time
-heap: pop the earliest machine, sleep to its wake, step it, push it
-back. Maximum-TTL discovery and snooping both run on it, so every
-domain waits out its expiries at the same time as the others. On a
-virtual clock this replays identically for a given seed; on the system
-clock the rate limiter inside the prober keeps aggregate query rate at
-the configured cap either way.
+One thread interleaves every domain's machine through the wake-time
+heap of engine._run_machines: pop the earliest machine, sleep to its
+wake, step it, push it back. Maximum-TTL discovery and snooping both
+run on it, so every domain waits out its expiries at the same time as
+the others. On a virtual clock this replays identically for a given
+seed; on the system clock the rate limiter inside the prober keeps
+aggregate query rate at the configured cap either way.
 """
 
-import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .clock import Clock, VirtualClock
 from .corpus import ObservationWriter
 from .engine import (DEFAULT_TUNING, INVALIDATING_KINDS, CycleError,
                      DiscoveryMachine, MaxTtlEstimate, RefreshObservation,
-                     TimingCalibration, Tuning, build_machine)
+                     TimingCalibration, Tuning, _run_machines, build_machine)
 from .estimation import (ArrivalEstimate, DomainStats, aggregate, estimate,
                          rank_domains, spearman_rho)
 from .simnet import Sim, SimConfig, SimExchange, build_sim, config_from_dict
@@ -37,36 +35,6 @@ class ScanResult:
 
     def stats(self) -> dict[str, DomainStats]:
         return aggregate(self.observations)
-
-
-def _run_machines(clock: Clock, machines: list, start: float,
-                  emit: Callable[[list], None] | None = None, *,
-                  deadline: float | None = None,
-                  max_cycles: int | None = None) -> None:
-    """Step machines in wake-time order until each is done or retired.
-
-    Ties go to the machine queued first. emit receives every non-empty
-    item list a step returns. A machine whose next wake lands past the
-    deadline, or that has completed max_cycles cycles, is retired.
-    """
-    heap = [(machine.start_at(start), seq, machine)
-            for seq, machine in enumerate(machines)]
-    heapq.heapify(heap)
-    seq = len(heap)
-    while heap:
-        wake, _, machine = heapq.heappop(heap)
-        if deadline is not None and wake > deadline:
-            continue
-        if max_cycles is not None and machine.cycles_completed >= max_cycles:
-            continue
-        clock.sleep_until(wake)
-        next_wake, items = machine.step(clock.now())
-        if items and emit is not None:
-            emit(items)
-        if next_wake is None or machine.done:
-            continue
-        heapq.heappush(heap, (next_wake, seq, machine))
-        seq += 1
 
 
 def discover_all(prober: Prober, clock: Clock, server: str, domains: list[str],
@@ -110,10 +78,11 @@ def run_scan(prober: Prober, clock: Clock, server: str, domains: list[str], *,
     Every domain needs an entry in max_ttls. The duration budget bounds
     probe scheduling: a machine whose next wake lands past the deadline
     is retired, so the last partial cycle is dropped rather than probed
-    late. max_cycles bounds completed cycles per domain. A domain whose
-    server behavior invalidates the method (pre-expiry refreshing, RD=0
-    ignored) is aborted and recorded, and its observations are dropped
-    from the result: they measured the server, not its clients. The
+    late, and a non-positive duration probes nothing. max_cycles bounds
+    completed cycles per domain. A domain whose server behavior
+    invalidates the method (pre-expiry refreshing, RD=0 ignored) is
+    aborted and recorded, and its observations are dropped from the
+    result: they measured the server, not its clients. The
     written log keeps them for audit. Other domains continue.
     """
     if not 0 < window_fraction <= 1:
@@ -143,9 +112,10 @@ def run_scan(prober: Prober, clock: Clock, server: str, domains: list[str], *,
             if writer is not None:
                 writer.write(item)
 
-    _run_machines(clock, machines, start, emit,
-                  deadline=None if duration is None else start + duration,
-                  max_cycles=max_cycles)
+    if duration is None or duration > 0:
+        _run_machines(clock, machines, start, emit,
+                      deadline=None if duration is None else start + duration,
+                      max_cycles=max_cycles)
 
     if result.aborted:
         result.observations = [o for o in result.observations

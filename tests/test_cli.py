@@ -72,6 +72,15 @@ class TestExitCodes:
                          "--domains", "a.test"]) == 1
         assert "budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget", [["--duration", "0"], ["--duration", "-5"],
+                                        ["--cycles", "0"]])
+    def test_zero_budget_is_a_usage_error_before_any_probe(self, budget, monkeypatch,
+                                                          capsys):
+        monkeypatch.setattr(cli, "_make_prober", lambda *args: pytest.fail("probed"))
+        assert cli.main(["snoop", "--server", "127.0.0.1", "--domains", "a.test",
+                         *budget]) == 1
+        assert "must be" in capsys.readouterr().err
+
     def test_broken_scenario_is_an_operational_error(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
         path.write_text("{nope")
@@ -254,6 +263,24 @@ class TestReportCommand:
         captured = capsys.readouterr()
         assert "tainted.test" not in captured.out
         assert "excluding tainted.test" in captured.err
+
+
+    def test_malformed_error_records_are_skipped_not_fatal(self, tmp_path, capsys):
+        from snoopdns.corpus import record_line
+        from snoopdns.engine import CycleError
+
+        log = observation_log(tmp_path, ["busy.test", "slow.test"])
+        error = json.loads(record_line(CycleError(
+            server="sim", domain="busy.test", method="rd0", at=30.0,
+            kind="rd_not_honored", message="fetches on our probes"), "t"))
+        with open(log, "a", encoding="utf-8") as handle:
+            for record in ({k: v for k, v in error.items() if k != "domain"},
+                           {**error, "error_kind": ["rd_not_honored"]}):
+                handle.write(json.dumps(record) + "\n")
+        assert cli.main(["report", "--in", log]) == 0
+        captured = capsys.readouterr()
+        assert "skipped 2 corrupt lines" in captured.err
+        assert "busy.test" in captured.out
 
 
 class TestPipeline:

@@ -306,6 +306,37 @@ class TestJsonlLog:
         assert log.observations == [sample_observation(censored=True)]
         assert log.corrupt_lines == 6
 
+    def test_text_fields_that_are_not_json_strings_are_corrupt(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        censored = parsed(sample_observation(censored=True), "s")
+        error = parsed(CycleError("sim", "a.test", "rd0", 1.0, "timeout", "m"), "s")
+        untimed = {key: value for key, value in error.items() if key != "at"}
+        nameless = {key: value for key, value in error.items() if key != "domain"}
+        path.write_text("\n".join(json.dumps(record) for record in [
+            censored,
+            error,
+            {**censored, "domain": None},
+            {**censored, "domain": ["x"]},
+            {**censored, "server": 5},
+            {**censored, "method": None},
+            {**censored, "scan_id": 7},
+            {**error, "server": 5},
+            {**error, "scan_id": ["s"]},
+            nameless,
+            {**error, "error_kind": ["rd_not_honored"]},
+            {**error, "message": None},
+            {**error, "at": "1.0"},
+            {**error, "at": True},
+            untimed,
+        ]) + "\n")
+        log = load_observations(str(path))
+        assert log.observations == [sample_observation(censored=True)]
+        assert log.errors == [error]
+        assert log.corrupt_lines == 13
+        assert log.scan_ids == {"s"}
+        with pytest.raises(ParseError, match="not a JSON string"):
+            observation_from_json({**censored, "domain": None})
+
     def test_reloaded_records_share_their_strings(self, tmp_path):
         path = tmp_path / "log.jsonl"
         with open(path, "w", encoding="utf-8") as handle:

@@ -4,16 +4,16 @@ import pytest
 
 from snoopdns import engine
 from snoopdns.clock import VirtualClock
-from snoopdns.engine import (DiscoveryBudgetExceeded, DiscoveryMachine,
-                             InconsistentTtl,
+from snoopdns.engine import (CycleError, DiscoveryBudgetExceeded,
+                             DiscoveryMachine, InconsistentTtl,
                              InsufficientSeparation, NonMonotonicTtl,
-                             Rd0Machine, RdNotHonored, RefreshObservation,
+                             Rd0Machine, RefreshObservation,
                              ServerPrefetches, TimingCalibration, TtlExceedsMax,
                              TtlRecursiveMachine, UnresolvableDomain, calibrate_timing,
                              check_rd_behavior, classify_timing,
                              classify_window_read, discover_max_ttl,
-                             run_cycle_ttl_recursive, run_probe_rd0,
-                             snap_to_grid, snoop_domain, ttl_grace)
+                             snap_to_grid, ttl_grace)
+from snoopdns.scan import run_scan
 from snoopdns.simnet import SimExchange, build_sim
 from snoopdns.transport import Prober, ProbeTimeout
 
@@ -28,12 +28,21 @@ def sim_prober(config, seed_salt=0):
     return prober, clock, sim
 
 
+NO_CHECKPOINTS = engine.Tuning(checkpoint_every=0)
+
+
 def quiet_zone(ttl=300, **overrides):
     config = {"seed": 1,
               "zones": {"a.test": {"address": "10.0.0.1", "ttl": ttl}},
               "clients": []}
     config.update(overrides)
     return config
+
+
+def scan_a(prober, clock, method, max_ttl, calibration=None, **budget):
+    """Scan a.test alone at a known maximum TTL, windows a whole max_ttl long."""
+    return run_scan(prober, clock, "sim", ["a.test"], max_ttls={"a.test": max_ttl},
+                    method=method, calibrations={"a.test": calibration}, **budget)
 
 
 class TestTtlGrace:
@@ -166,7 +175,7 @@ class TestDiscoveryMachine:
         prober, clock, exchange = scripted([240, 2, 240, 2, 240], rtt_ms=0.0)
         machine = DiscoveryMachine(prober, "sim", "a.test", required_confirmations=2)
         wakes = []
-        wake = machine.start_at(clock.now())
+        wake = clock.now()
         while wake is not None:
             clock.sleep_until(wake)
             woke = clock.now()
@@ -221,10 +230,16 @@ class TestDiscoveryMachine:
 
 
 class TestRunCycleTtlRecursive:
+    """One expiry-watch cycle, probe by probe: a read fixes the expiry,
+    and the read a window past it classifies the cycle."""
+
     def test_mid_window_refresh_yields_the_delay(self, scripted):
         prober, clock, _ = scripted([300, 120])
-        observation = run_cycle_ttl_recursive(prober, clock, "sim", "a.test",
-                                              max_ttl=300, window=300.0)
+        machine = TtlRecursiveMachine(prober, "sim", "a.test", max_ttl=300,
+                                      window=300.0, tuning=NO_CHECKPOINTS)
+        assert machine.step(clock.now()) == (600.0, [])
+        clock.sleep_until(600.0)
+        _, [observation] = machine.step(clock.now())
         assert observation.censored is False
         assert observation.event.delay_after_expiry == pytest.approx(120.0)
         assert observation.window_length == pytest.approx(300.0)
@@ -232,31 +247,35 @@ class TestRunCycleTtlRecursive:
 
     def test_untouched_window_is_censored(self, scripted):
         prober, clock, _ = scripted([300, 299])
-        observation = run_cycle_ttl_recursive(prober, clock, "sim", "a.test",
-                                              max_ttl=300, window=300.0)
+        machine = TtlRecursiveMachine(prober, "sim", "a.test", max_ttl=300,
+                                      window=300.0, tuning=NO_CHECKPOINTS)
+        clock.sleep_until(machine.step(clock.now())[0])
+        _, [observation] = machine.step(clock.now())
         assert observation.censored is True
         assert observation.event is None
 
     def test_read_above_max_raises(self, scripted):
         prober, clock, _ = scripted([300, 320])
-        with pytest.raises(TtlExceedsMax):
-            run_cycle_ttl_recursive(prober, clock, "sim", "a.test",
-                                    max_ttl=300, window=300.0)
+        machine = TtlRecursiveMachine(prober, "sim", "a.test", max_ttl=300,
+                                      window=300.0, tuning=NO_CHECKPOINTS)
+        clock.sleep_until(machine.step(clock.now())[0])
+        _, [error] = machine.step(clock.now())
+        assert error.kind == "ttl_exceeds_max"
 
     def test_impossible_read_raises(self, scripted):
         prober, clock, _ = scripted([300, 200])
-        with pytest.raises(InconsistentTtl):
-            run_cycle_ttl_recursive(prober, clock, "sim", "a.test",
-                                    max_ttl=300, window=30.0)
+        machine = TtlRecursiveMachine(prober, "sim", "a.test", max_ttl=300,
+                                      window=30.0, tuning=NO_CHECKPOINTS)
+        clock.sleep_until(machine.step(clock.now())[0])
+        _, [error] = machine.step(clock.now())
+        assert error.kind == "inconsistent_ttl"
 
     def test_window_validation(self, scripted):
         prober, clock, _ = scripted([])
         with pytest.raises(ValueError):
-            run_cycle_ttl_recursive(prober, clock, "sim", "a.test",
-                                    max_ttl=300, window=0.0)
+            TtlRecursiveMachine(prober, "sim", "a.test", max_ttl=300, window=0.0)
         with pytest.raises(ValueError):
-            run_cycle_ttl_recursive(prober, clock, "sim", "a.test",
-                                    max_ttl=300, window=301.0)
+            TtlRecursiveMachine(prober, "sim", "a.test", max_ttl=300, window=301.0)
 
 
 class TestTtlRecursiveMachine:
@@ -276,12 +295,12 @@ class TestTtlRecursiveMachine:
 
 
 class TestSnoopDomainTtlRecursive:
+    """A ttl_recursive stream for one domain, through run_scan."""
+
     def test_stream_against_a_quiet_resolver_is_all_censored(self):
         prober, clock, _ = sim_prober(quiet_zone(ttl=60))
-        items = list(snoop_domain(prober, clock, "sim", "a.test",
-                                  "ttl_recursive", max_ttl=60, window=60.0,
-                                  max_cycles=4))
-        observations = [i for i in items if isinstance(i, RefreshObservation)]
+        observations = scan_a(prober, clock, "ttl_recursive", 60,
+                              max_cycles=4).observations
         assert len(observations) == 4
         assert all(o.censored for o in observations)
 
@@ -290,10 +309,8 @@ class TestSnoopDomainTtlRecursive:
         config["clients"] = [{"domain": "a.test",
                               "process": {"kind": "poisson", "rate": 0.05}}]
         prober, clock, _ = sim_prober(config)
-        items = list(snoop_domain(prober, clock, "sim", "a.test",
-                                  "ttl_recursive", max_ttl=60, window=60.0,
-                                  duration=6000.0))
-        observations = [i for i in items if isinstance(i, RefreshObservation)]
+        observations = scan_a(prober, clock, "ttl_recursive", 60,
+                              duration=6000.0).observations
         events = [o for o in observations if not o.censored]
         assert len(observations) >= 20
         assert len(events) >= 5
@@ -302,75 +319,62 @@ class TestSnoopDomainTtlRecursive:
 
     def test_duration_budget_drops_the_unfinished_cycle(self):
         prober, clock, _ = sim_prober(quiet_zone(ttl=60))
-        items = list(snoop_domain(prober, clock, "sim", "a.test",
-                                  "ttl_recursive", max_ttl=60, window=60.0,
-                                  duration=500.0))
-        observations = [i for i in items if isinstance(i, RefreshObservation)]
+        observations = scan_a(prober, clock, "ttl_recursive", 60,
+                              duration=500.0).observations
         # window probes land near 120s, 240s, 360s, 480s; 600s is over budget
         assert len(observations) == 4
         assert clock.now() <= 500.0 + 1.0
 
-    def test_zero_budget_probes_nothing(self):
-        prober, clock, exchange_unused = sim_prober(quiet_zone())
-        assert list(snoop_domain(prober, clock, "sim", "a.test", "ttl_recursive",
-                                 max_ttl=300, window=300.0, max_cycles=0)) == []
-        assert list(snoop_domain(prober, clock, "sim", "a.test", "ttl_recursive",
-                                 max_ttl=300, window=300.0, duration=0.0)) == []
+    def test_zero_budget_probes_nothing(self, scripted):
+        for budget in ({"max_cycles": 0}, {"duration": 0.0}, {"duration": -5.0}):
+            for method in engine.METHODS:
+                prober, clock, exchange = scripted([300] * 4)
+                result = scan_a(prober, clock, method, 300,
+                                calibration=make_calibration(), **budget)
+                assert result.observations == [] and result.errors == []
+                assert exchange.sent_at == [], (budget, method)
 
     def test_prefetching_server_aborts_the_stream(self):
         config = quiet_zone(ttl=60)
         config["anomaly"] = {"kind": "pre_refresh",
                              "remaining_low": 3.0, "remaining_high": 5.0}
         prober, clock, _ = sim_prober(config)
-        with pytest.raises(ServerPrefetches):
-            list(snoop_domain(prober, clock, "sim", "a.test", "ttl_recursive",
-                              max_ttl=60, window=60.0, max_cycles=10))
+        result = scan_a(prober, clock, "ttl_recursive", 60, max_cycles=10)
+        assert list(result.aborted) == ["a.test"]
+        assert result.errors[-1].kind == "server_prefetches"
 
     def test_ttl_above_max_is_annotated_and_the_new_max_adopted(self, scripted):
         # init 300; window read 330 exceeds; next cycle continues at max 330
         script = [300, 330, 150]
         prober, clock, _ = scripted(script)
-        tuning = engine.Tuning(checkpoint_every=0)
-        items = list(snoop_domain(prober, clock, "sim", "a.test", "ttl_recursive",
-                                  max_ttl=300, window=300.0, max_cycles=1,
-                                  tuning=tuning))
-        kinds = [i.kind for i in items if isinstance(i, engine.CycleError)]
-        assert kinds == ["ttl_exceeds_max"]
-        observations = [i for i in items if isinstance(i, RefreshObservation)]
-        assert len(observations) == 1
+        result = scan_a(prober, clock, "ttl_recursive", 300, max_cycles=1,
+                        tuning=NO_CHECKPOINTS)
+        assert [e.kind for e in result.errors] == ["ttl_exceeds_max"]
+        assert len(result.observations) == 1
         # window re-armed from the 330 read: expiry 600+330=930, probe at 1230
         # reads 150, so the delay is 300 - (330 - 150) = 120
-        assert observations[0].event.delay_after_expiry == pytest.approx(120.0)
+        assert result.observations[0].event.delay_after_expiry == pytest.approx(120.0)
 
     def test_timeouts_are_annotated_and_survivable(self, scripted):
         script = [60, "timeout", 60, 30]
         prober, clock, _ = scripted(script)
-        tuning = engine.Tuning(checkpoint_every=0)
-        items = list(snoop_domain(prober, clock, "sim", "a.test", "ttl_recursive",
-                                  max_ttl=60, window=60.0, max_cycles=1,
-                                  tuning=tuning))
-        kinds = [i.kind for i in items if isinstance(i, engine.CycleError)]
-        assert kinds == ["timeout"]
-        observations = [i for i in items if isinstance(i, RefreshObservation)]
-        assert len(observations) == 1
-        assert observations[0].event.delay_after_expiry == pytest.approx(30.0)
+        result = scan_a(prober, clock, "ttl_recursive", 60, max_cycles=1,
+                        tuning=NO_CHECKPOINTS)
+        assert [e.kind for e in result.errors] == ["timeout"]
+        assert len(result.observations) == 1
+        assert result.observations[0].event.delay_after_expiry == pytest.approx(30.0)
 
     def test_repeated_timeouts_end_the_domain(self, scripted):
         prober, clock, _ = scripted([60, "timeout", "timeout", "timeout"])
-        tuning = engine.Tuning(checkpoint_every=0)
-        items = list(snoop_domain(prober, clock, "sim", "a.test", "ttl_recursive",
-                                  max_ttl=60, window=60.0, max_cycles=5,
-                                  tuning=tuning))
-        kinds = [i.kind for i in items if isinstance(i, engine.CycleError)]
-        assert kinds == ["timeout"] * 3
+        result = scan_a(prober, clock, "ttl_recursive", 60, max_cycles=5,
+                        tuning=NO_CHECKPOINTS)
+        assert [e.kind for e in result.errors] == ["timeout"] * 3
 
     def test_static_server_mid_scan_annotates_then_gives_up(self, scripted):
         script = [77, 77, 77, 77, 77, 77]
         prober, clock, _ = scripted(script)
-        items = list(snoop_domain(prober, clock, "sim", "a.test", "ttl_recursive",
-                                  max_ttl=77, window=77.0, max_cycles=5))
-        kinds = [i.kind for i in items if isinstance(i, engine.CycleError)]
-        assert kinds == ["non_monotonic_ttl"] * 3
+        result = scan_a(prober, clock, "ttl_recursive", 77, max_cycles=5)
+        assert [e.kind for e in result.errors] == ["non_monotonic_ttl"] * 3
 
 
 class TestRd0Machine:
@@ -381,14 +385,13 @@ class TestRd0Machine:
         prober, clock, _ = scripted([250, 100, 260])
         machine = Rd0Machine(prober, "sim", "a.test", max_ttl=300,
                              probe_interval=150.0)
-        first = run_probe_rd0(machine, clock)
-        assert first is None
+        assert machine.step(clock.now()) == (150.0, [])
         clock.sleep_until(150.0)
-        second = run_probe_rd0(machine, clock)
+        _, [second] = machine.step(clock.now())
         assert second.censored is True
         assert second.window_length == pytest.approx(150.0)
         clock.sleep_until(300.0)
-        third = run_probe_rd0(machine, clock)
+        _, [third] = machine.step(clock.now())
         assert third.censored is False
         assert third.event.inferred_refresh_time == pytest.approx(260.0)
         assert third.event.delay_after_expiry == pytest.approx(110.0)
@@ -401,18 +404,18 @@ class TestRd0Machine:
         events = 0
         for at in (0.0, 10.0, 20.0):
             clock.sleep_until(at)
-            observation = run_probe_rd0(machine, clock)
-            if observation is not None and not observation.censored:
-                events += 1
+            _, items = machine.step(clock.now())
+            assert all(isinstance(i, RefreshObservation) for i in items)
+            events += sum(1 for o in items if not o.censored)
         assert events == 1
 
     def test_empty_answers_are_censored_spans(self, scripted):
         prober, clock, _ = scripted([None, None, None])
         machine = Rd0Machine(prober, "sim", "a.test", max_ttl=300,
                              probe_interval=150.0)
-        assert run_probe_rd0(machine, clock) is None
+        assert machine.step(clock.now()) == (150.0, [])
         clock.sleep_until(150.0)
-        observation = run_probe_rd0(machine, clock)
+        _, [observation] = machine.step(clock.now())
         assert observation.censored is True
         assert observation.window_length == pytest.approx(150.0)
 
@@ -420,15 +423,15 @@ class TestRd0Machine:
         prober, clock, _ = scripted([300, 300, 300])
         machine = Rd0Machine(prober, "sim", "a.test", max_ttl=300,
                              probe_interval=150.0)
-        run_probe_rd0(machine, clock)
+        machine.step(clock.now())
         clock.sleep_until(150.0)
-        second = run_probe_rd0(machine, clock)
+        _, [second] = machine.step(clock.now())
         # below the detection threshold a full-TTL reading is still a
         # dateable refresh, so it must count as an event, not vanish
-        assert second is not None and second.event is not None
+        assert second.event is not None
         clock.sleep_until(300.0)
-        with pytest.raises(RdNotHonored):
-            run_probe_rd0(machine, clock)
+        _, [error] = machine.step(clock.now())
+        assert error.kind == "rd_not_honored"
         assert machine.done
 
     def test_empty_answers_break_a_full_ttl_run(self, scripted):
@@ -438,7 +441,8 @@ class TestRd0Machine:
                              probe_interval=150.0)
         for i in range(len(script)):
             clock.sleep_until(150.0 * i)
-            run_probe_rd0(machine, clock)  # must never raise
+            _, items = machine.step(clock.now())
+            assert not any(isinstance(i, CycleError) for i in items)
         assert not machine.done
 
     def test_dated_client_refreshes_break_a_full_ttl_run(self, scripted):
@@ -451,7 +455,8 @@ class TestRd0Machine:
                              probe_interval=160.0)
         for i in range(len(script)):
             clock.sleep_until(160.0 * i)
-            run_probe_rd0(machine, clock)
+            _, items = machine.step(clock.now())
+            assert not any(isinstance(i, CycleError) for i in items)
         assert not machine.done
 
     def test_refreshes_dated_before_expiry_flag_a_prefetcher(self, scripted):
@@ -461,10 +466,12 @@ class TestRd0Machine:
         prober, clock, _ = scripted(script)
         machine = Rd0Machine(prober, "sim", "a.test", max_ttl=60,
                              probe_interval=30.0)
-        with pytest.raises(ServerPrefetches):
-            for i in range(len(script)):
-                clock.sleep_until(30.0 * i)
-                run_probe_rd0(machine, clock)
+        kinds = []
+        for i in range(len(script)):
+            clock.sleep_until(30.0 * i)
+            _, items = machine.step(clock.now())
+            kinds += [i.kind for i in items if isinstance(i, CycleError)]
+        assert kinds == ["server_prefetches"]
         assert machine.done
 
     def test_prefetching_sim_is_detected_once_the_cache_is_primed(self):
@@ -475,23 +482,20 @@ class TestRd0Machine:
         # one recursive query seeds the cache; the server then refills
         # it forever on its own, 3 to 5 seconds ahead of every expiry
         prober.probe("sim", "a.test", recursion_desired=True)
-        with pytest.raises(ServerPrefetches):
-            list(snoop_domain(prober, clock, "sim", "a.test", "rd0",
-                              max_ttl=60, max_cycles=30))
+        result = scan_a(prober, clock, "rd0", 60, max_cycles=30)
+        assert list(result.aborted) == ["a.test"]
+        assert result.errors[-1].kind == "server_prefetches"
 
     def test_rd_ignoring_sim_is_detected(self):
         config = quiet_zone(ttl=60, rd_policy="ignore")
         prober, clock, _ = sim_prober(config)
-        with pytest.raises(RdNotHonored):
-            for _ in range(10):
-                list(snoop_domain(prober, clock, "sim", "a.test", "rd0",
-                                  max_ttl=60, max_cycles=10))
+        result = scan_a(prober, clock, "rd0", 60, max_cycles=10)
+        assert list(result.aborted) == ["a.test"]
+        assert result.errors[-1].kind == "rd_not_honored"
 
     def test_honest_quiet_sim_yields_zero_events(self):
         prober, clock, _ = sim_prober(quiet_zone(ttl=60))
-        items = list(snoop_domain(prober, clock, "sim", "a.test", "rd0",
-                                  max_ttl=60, max_cycles=20))
-        observations = [i for i in items if isinstance(i, RefreshObservation)]
+        observations = scan_a(prober, clock, "rd0", 60, max_cycles=20).observations
         assert len(observations) == 20
         assert all(o.censored for o in observations)
 
@@ -503,10 +507,9 @@ class TestRd0Machine:
         config = quiet_zone(ttl=60, clients=[
             {"domain": "a.test", "process": {"kind": "poisson", "rate": 0.02}}])
         prober, clock, _ = sim_prober(config, seed_salt=salt)
-        items = list(snoop_domain(prober, clock, "sim", "a.test", "rd0",
-                                  max_ttl=60, duration=8 * 3600.0))
-        events = [i for i in items if isinstance(i, RefreshObservation)
-                  and i.event is not None]
+        result = scan_a(prober, clock, "rd0", 60, duration=8 * 3600.0)
+        assert result.aborted == {}
+        events = [o for o in result.observations if o.event is not None]
         assert len(events) > 50  # the traffic itself was seen
 
     def test_probe_interval_validation(self, scripted):
@@ -527,8 +530,8 @@ class TestRd0Machine:
         prober, clock, _ = scripted([250, 240, 230])
         machine = Rd0Machine(prober, "sim", "a.test", max_ttl=60,
                              probe_interval=30.0)
-        with pytest.raises(TtlExceedsMax):
-            run_probe_rd0(machine, clock)
+        _, [error] = machine.step(clock.now())
+        assert error.kind == "ttl_exceeds_max"
         assert machine.max_ttl == 250
         assert not machine.done
 
@@ -607,10 +610,8 @@ class TestTimingMachine:
     def test_quiet_domain_is_all_censored(self, scripted):
         script = [(60, 50.0), (60, 50.0), (60, 50.0)]
         prober, clock, _ = scripted(script)
-        items = list(snoop_domain(prober, clock, "sim", "a.test", "timing",
-                                  max_ttl=60, window=60.0,
-                                  calibration=make_calibration(), max_cycles=2))
-        observations = [i for i in items if isinstance(i, RefreshObservation)]
+        observations = scan_a(prober, clock, "timing", 60, make_calibration(),
+                              max_cycles=2).observations
         assert len(observations) == 2
         assert all(o.censored for o in observations)
         assert all(o.window_length == pytest.approx(60.0) for o in observations)
@@ -618,10 +619,8 @@ class TestTimingMachine:
     def test_cached_classed_probe_imputes_the_window_midpoint(self, scripted):
         script = [(60, 50.0), (59, 4.0)]
         prober, clock, _ = scripted(script)
-        items = list(snoop_domain(prober, clock, "sim", "a.test", "timing",
-                                  max_ttl=60, window=60.0,
-                                  calibration=make_calibration(), max_cycles=1))
-        observations = [i for i in items if isinstance(i, RefreshObservation)]
+        observations = scan_a(prober, clock, "timing", 60, make_calibration(),
+                              max_cycles=1).observations
         assert len(observations) == 1
         assert observations[0].censored is False
         assert observations[0].event.delay_after_expiry == pytest.approx(30.0)
@@ -629,13 +628,9 @@ class TestTimingMachine:
     def test_abstentions_discard_the_cycle(self, scripted):
         script = [(60, 50.0), (59, 30.0), (60, 50.0)]
         prober, clock, _ = scripted(script)
-        items = list(snoop_domain(prober, clock, "sim", "a.test", "timing",
-                                  max_ttl=60, window=60.0,
-                                  calibration=make_calibration(), max_cycles=1))
-        kinds = [i.kind for i in items if isinstance(i, engine.CycleError)]
-        observations = [i for i in items if isinstance(i, RefreshObservation)]
-        assert kinds == ["abstain"]
-        assert len(observations) == 1
+        result = scan_a(prober, clock, "timing", 60, make_calibration(), max_cycles=1)
+        assert [e.kind for e in result.errors] == ["abstain"]
+        assert len(result.observations) == 1
 
     def test_busy_sim_domain_yields_events(self):
         config = quiet_zone(ttl=60)
@@ -643,18 +638,15 @@ class TestTimingMachine:
                               "process": {"kind": "periodic", "interval": 20.0}}]
         prober, clock, _ = sim_prober(config)
         calibration = calibrate_timing(prober, "sim", "a.test", samples=25)
-        items = list(snoop_domain(prober, clock, "sim", "a.test", "timing",
-                                  max_ttl=60, window=60.0,
-                                  calibration=calibration, max_cycles=6))
-        observations = [i for i in items if isinstance(i, RefreshObservation)]
+        observations = scan_a(prober, clock, "timing", 60, calibration,
+                              max_cycles=6).observations
         events = [o for o in observations if not o.censored]
         assert len(events) >= 5  # a 20s-periodic client always refreshes in time
 
     def test_requires_calibration(self, scripted):
         prober, clock, _ = scripted([])
         with pytest.raises(ValueError):
-            list(snoop_domain(prober, clock, "sim", "a.test", "timing",
-                              max_ttl=60, window=60.0, max_cycles=1))
+            scan_a(prober, clock, "timing", 60, max_cycles=1)
 
 
 class TestObservationValidation:

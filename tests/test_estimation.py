@@ -63,14 +63,15 @@ class TestAggregate:
         assert set(stats) == {"a.test", "b.test"}
 
     def test_merge_accumulates(self):
-        left = aggregate([obs(delay=10.0)])["a.test"]
-        right = aggregate([obs(window=90.0)])["a.test"]
-        merged = left.merge(right)
+        # two scans' observations fold into one tally per domain
+        left, right = [obs(delay=10.0)], [obs(window=90.0)]
+        merged = aggregate(left + right)["a.test"]
         assert merged.events == 1
         assert merged.observed_seconds == pytest.approx(100.0)
         assert merged.cycles == 2
-        with pytest.raises(ValueError):
-            left.merge(aggregate([obs(domain="b.test")])["b.test"])
+        # and another domain's never fold into it
+        other = aggregate(left + [obs(domain="b.test")])
+        assert other["a.test"] == aggregate(left)["a.test"]
 
 
 class TestEstimate:
@@ -103,7 +104,7 @@ class TestEstimate:
     @given(st.integers(1, 10**6), st.floats(1.0, 10**7))
     def test_doubling_exposure_shrinks_the_interval_by_root_two(self, t, o):
         one = DomainStats(domain="d", events=t, observed_seconds=o)
-        two = one.merge(one)
+        two = DomainStats(domain="d", events=2 * t, observed_seconds=2 * o)
         e1, e2 = estimate(one), estimate(two)
         assert e2.arrival_rate_per_s == pytest.approx(e1.arrival_rate_per_s)
         assert e2.ci_half_width == pytest.approx(e1.ci_half_width / math.sqrt(2))
