@@ -26,7 +26,7 @@ import time
 from . import corpus, engine, estimation, scan, simnet, wire
 from .clock import SystemClock
 from .ratelimit import RateLimiter
-from .transport import Prober, ProbeTimeout, UdpExchange
+from .transport import Prober, ProbeTimeout, UdpExchange, split_server
 
 ENV_PREFIX = "SNOOPDNS_"
 DEFAULT_RATE_QPS = 10.0
@@ -167,9 +167,10 @@ def _setting(args, config: dict, name: str, default, cast=None):
 def _is_loopback(server: str) -> bool:
     import ipaddress
 
-    from .transport import split_server
-
-    host, _ = split_server(server)
+    try:
+        host, _ = split_server(server)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if host.lower() in ("localhost", "sim"):
         return True
     try:
@@ -209,9 +210,10 @@ def _gather_domains(args, config: dict) -> list[str]:
 
 def _make_prober(args, config: dict) -> Prober:
     rate = _setting(args, config, "rate", DEFAULT_RATE_QPS, float)
-    if rate <= 0:
-        raise UsageError(f"rate must be positive, got {rate}")
     timeout = _setting(args, config, "timeout", DEFAULT_TIMEOUT, float)
+    for name, value in (("rate", rate), ("timeout", timeout)):
+        if not 0 < value < float("inf"):
+            raise UsageError(f"{name} must be finite and positive, got {value}")
     clock = SystemClock()
     return Prober(transport=UdpExchange(), clock=clock,
                   limiter=RateLimiter(rate, clock), timeout=timeout)
@@ -238,8 +240,9 @@ def cmd_discover_ttl(args) -> int:
     domains = _gather_domains(args, config)
     confirmations = _setting(args, config, "confirmations", 5, int)
     prober = _make_prober(args, config)
-    found, failed = scan.discover_all(prober, prober.clock, server, domains,
-                                      required_confirmations=confirmations)
+    with prober.transport:
+        found, failed = scan.discover_all(prober, prober.clock, server, domains,
+                                          required_confirmations=confirmations)
     payload = {
         "server": server,
         "max_ttls": {d: {
@@ -304,53 +307,53 @@ def cmd_snoop(args) -> int:
     probe_interval = _setting(args, config, "probe_interval", None, float)
     prober = _make_prober(args, config)
     clock = prober.clock
+    with prober.transport:
+        if _setting(args, config, "liveness", False, bool):
+            live, dead = corpus.liveness_filter(prober, clock, server, domains)
+            for domain in dead:
+                print(f"skipping {domain}: never resolved", file=sys.stderr)
+            domains = live
+            if not domains:
+                print("error: no live domains to snoop", file=sys.stderr)
+                return 2
 
-    if _setting(args, config, "liveness", False, bool):
-        live, dead = corpus.liveness_filter(prober, clock, server, domains)
-        for domain in dead:
-            print(f"skipping {domain}: never resolved", file=sys.stderr)
-        domains = live
-        if not domains:
-            print("error: no live domains to snoop", file=sys.stderr)
-            return 2
+        if args.max_ttls:
+            max_ttls = _load_max_ttls(args.max_ttls)
+            missing = [d for d in domains if d not in max_ttls]
+            if missing:
+                raise UsageError(f"--max-ttls file lacks: {', '.join(missing)}")
+        else:
+            confirmations = _setting(args, config, "confirmations", 5, int)
+            found, failed = scan.discover_all(prober, clock, server, domains,
+                                              required_confirmations=confirmations)
+            for domain, why in failed.items():
+                print(f"skipping {domain}: {why}", file=sys.stderr)
+            domains = [d for d in domains if d in found]
+            max_ttls = {d: found[d].max_ttl for d in domains}
+            if not domains:
+                print("error: discovery failed for every domain", file=sys.stderr)
+                return 2
 
-    if args.max_ttls:
-        max_ttls = _load_max_ttls(args.max_ttls)
-        missing = [d for d in domains if d not in max_ttls]
-        if missing:
-            raise UsageError(f"--max-ttls file lacks: {', '.join(missing)}")
-    else:
-        confirmations = _setting(args, config, "confirmations", 5, int)
-        found, failed = scan.discover_all(prober, clock, server, domains,
-                                          required_confirmations=confirmations)
-        for domain, why in failed.items():
-            print(f"skipping {domain}: {why}", file=sys.stderr)
-        domains = [d for d in domains if d in found]
-        max_ttls = {d: found[d].max_ttl for d in domains}
-        if not domains:
-            print("error: discovery failed for every domain", file=sys.stderr)
-            return 2
+        calibrations = None
+        if method == "timing":
+            zone = _setting(args, config, "calibration_domain", None)
+            if not zone:
+                raise UsageError("timing method needs --calibration-domain")
+            calibration = engine.calibrate_timing(prober, server, zone)
+            calibrations = {d: calibration for d in domains}
 
-    calibrations = None
-    if method == "timing":
-        zone = _setting(args, config, "calibration_domain", None)
-        if not zone:
-            raise UsageError("timing method needs --calibration-domain")
-        calibration = engine.calibrate_timing(prober, server, zone)
-        calibrations = {d: calibration for d in domains}
-
-    scan_id = args.scan_id or f"scan-{int(time.time()):x}-{os.getpid():x}"
-    out, close = _open_out(args.out)
-    try:
-        writer = corpus.ObservationWriter(out, scan_id)
-        result = scan.run_scan(prober, clock, server, domains, max_ttls=max_ttls,
-                               method=method, window_fraction=window_fraction,
-                               probe_interval=probe_interval, duration=duration,
-                               max_cycles=cycles, calibrations=calibrations,
-                               writer=writer)
-    finally:
-        if close:
-            out.close()
+        scan_id = args.scan_id or f"scan-{int(time.time()):x}-{os.getpid():x}"
+        out, close = _open_out(args.out)
+        try:
+            writer = corpus.ObservationWriter(out, scan_id)
+            result = scan.run_scan(prober, clock, server, domains, max_ttls=max_ttls,
+                                   method=method, window_fraction=window_fraction,
+                                   probe_interval=probe_interval, duration=duration,
+                                   max_cycles=cycles, calibrations=calibrations,
+                                   writer=writer)
+        finally:
+            if close:
+                out.close()
     for domain, why in result.aborted.items():
         print(f"aborted {domain}: {why}", file=sys.stderr)
     print(f"{len(result.observations)} observations, {len(result.errors)} "

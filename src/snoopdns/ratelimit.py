@@ -15,8 +15,8 @@ class RateLimiter:
     """Paces acquire() calls to at most rate_qps per second."""
 
     def __init__(self, rate_qps: float, clock: Clock):
-        if rate_qps <= 0:
-            raise ValueError(f"rate must be positive: {rate_qps}")
+        if not 0 < rate_qps < float("inf"):
+            raise ValueError(f"rate must be finite and positive: {rate_qps}")
         self.interval = 1.0 / rate_qps
         self.clock = clock
         self._next_free = float("-inf")

@@ -1,13 +1,14 @@
 """Query transports and the retrying prober.
 
 A transport moves one encoded query to a server and returns the raw
-response bytes with timing. UdpExchange talks to real resolvers;
-the simulator provides an in-process exchange with the same shape (see
-simnet.SimExchange), so the engine code above this layer is identical
-in both modes. The Prober adds transaction ids, rate limiting, decode,
-and a retry budget with fresh ids per attempt.
+response bytes with timing. UdpExchange keeps one connected socket per
+real resolver; the simulator provides an in-process exchange with the
+same shape (see simnet.SimExchange), so the engine code above this layer
+is identical in both modes. The Prober adds transaction ids, rate
+limiting, decode, reply checks and a retry budget with fresh ids.
 """
 
+import contextlib
 import random
 import socket
 import time
@@ -34,51 +35,81 @@ class Exchange(Protocol):
 
 
 def split_server(server: str, default_port: int = 53) -> tuple[str, int]:
-    """Parse "host", "host:port" or "[v6]:port" into an address tuple."""
+    """Parse "host", "host:port" or "[v6]:port" into an address tuple.
+    Raises ValueError for a port that is not a number from 1 to 65535."""
     if server.startswith("["):
         host, _, rest = server[1:].partition("]")
-        port = int(rest[1:]) if rest.startswith(":") else default_port
-        return host, port
-    if server.count(":") == 1:
+        if not rest.startswith(":"):
+            return host, default_port
+        port_text = rest[1:]
+    elif server.count(":") == 1:
         host, _, port_text = server.partition(":")
-        return host, int(port_text)
-    return server, default_port
+    else:
+        return server, default_port
+    if not (port_text.isdecimal() and 1 <= int(port_text) <= 65535):
+        raise ValueError(f"bad port in server {server!r}: want a number from 1 to 65535")
+    return host, int(port_text)
 
 
 class UdpExchange:
-    """One-shot UDP round trips against a real server."""
+    """UDP round trips over one connected socket per server.
 
-    def __init__(self, default_port: int = 53):
-        self.default_port = default_port
+    The first probe to a server connects a socket that later probes and
+    retries reuse: one source port per server for the life of the
+    exchange, not a fresh one per probe. A reply must come from the
+    connected address with this attempt's id (the Prober then requires
+    QR and the question); anything else, such as a late reply to an
+    abandoned attempt or an ICMP error left by an earlier probe, is no
+    answer. One instance serves a single thread; close() releases it all.
+    """
+
+    def __init__(self):
+        self._sockets: dict[str, socket.socket] = {}
+
+    def __enter__(self) -> "UdpExchange":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        while self._sockets:
+            self._sockets.popitem()[1].close()
+
+    def _connect(self, server: str) -> socket.socket:
+        host, port = split_server(server)
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        sock = socket.socket(family, socket.SOCK_DGRAM)
+        try:
+            sock.connect((host, port))
+        except OSError:
+            sock.close()
+            raise
+        self._sockets[server] = sock
+        return sock
 
     def exchange(self, server: str, payload: bytes, timeout: float) -> tuple[bytes, float, float]:
-        host, port = split_server(server, self.default_port)
-        family = socket.AF_INET6 if ":" in host else socket.AF_INET
-        # A fresh socket per probe keeps the source port random. Connecting
-        # it makes the kernel resolve a host name and drop datagrams from
-        # any other source.
-        with socket.socket(family, socket.SOCK_DGRAM) as sock:
-            sock.connect((host, port))
-            sent_at = time.time()
-            start = time.monotonic()
+        sock = self._sockets.get(server) or self._connect(server)
+        sent_at = time.time()
+        start = time.monotonic()
+        with contextlib.suppress(ConnectionRefusedError):  # an earlier ICMP error
             sock.send(payload)
-            deadline = start + timeout
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise ProbeTimeout(f"no response from {server} within {timeout}s")
-                sock.settimeout(remaining)
-                try:
-                    data = sock.recv(4096)
-                except socket.timeout:
-                    raise ProbeTimeout(f"no response from {server} within {timeout}s") from None
-                except ConnectionRefusedError:
-                    # an ICMP error is no answer: wait out the timeout as for silence
-                    continue
-                # Accept only a reply to this transaction.
-                if len(data) >= 2 and data[:2] == payload[:2]:
-                    rtt_ms = (time.monotonic() - start) * 1000.0
-                    return data, rtt_ms, sent_at
+        deadline = start + timeout
+        while True:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise ProbeTimeout(f"no response from {server} within {timeout}s")
+            sock.settimeout(remaining)
+            try:
+                data = sock.recv(4096)
+            except socket.timeout:
+                raise ProbeTimeout(f"no response from {server} within {timeout}s") from None
+            except ConnectionRefusedError:
+                # an ICMP error is no answer: wait out the timeout as for silence
+                continue
+            if len(data) >= 2 and data[:2] == payload[:2]:
+                rtt_ms = (time.monotonic() - start) * 1000.0
+                return data, rtt_ms, sent_at
 
 
 @dataclass(slots=True)
@@ -94,7 +125,8 @@ class Prober:
 
     Each attempt uses a fresh transaction id so a late reply to a lost
     probe cannot be mistaken for the current one; a reply that carries
-    another id or echoes another question costs an attempt. Every send
+    another id, has the QR bit clear or echoes another question costs an
+    attempt. Every send
     first takes a rate-limiter slot when a limiter is configured.
     """
 
@@ -131,6 +163,9 @@ class Prober:
                 continue
             if response.id != query.id:
                 last_error = wire.Malformed("transaction id mismatch")
+                continue
+            if not response.is_response:
+                last_error = wire.Malformed("reply has the QR bit clear")
                 continue
             echoed = response.question
             if echoed is not None and (echoed.qname, echoed.qtype) != (qname, qtype):

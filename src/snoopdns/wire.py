@@ -170,6 +170,7 @@ class DnsResponse:
     authoritative: bool = False
     truncated: bool = False
     question: DnsQuestion | None = None
+    is_response: bool = True  # the QR bit
 
 
 def encode_query(query: DnsQuery) -> bytes:
@@ -363,7 +364,8 @@ def decode_response(packet: bytes) -> DnsResponse:
     # Per-probe records are built positionally: keyword arguments make
     # a dataclass __init__ call several times slower.
     return DnsResponse(qid, flags & 0x000F, bool(flags & FLAG_RA), answers,
-                       bool(flags & FLAG_AA), bool(flags & FLAG_TC), question)
+                       bool(flags & FLAG_AA), bool(flags & FLAG_TC), question,
+                       bool(flags & FLAG_QR))
 
 
 def decode_query(packet: bytes) -> DnsQuery:

@@ -81,6 +81,30 @@ class TestExitCodes:
                          *budget]) == 1
         assert "must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--rate", "--timeout"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_a_rate_or_timeout_that_is_not_finite_and_positive_is_a_usage_error(
+            self, flag, value, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "UdpExchange", lambda: pytest.fail("probed"))
+        assert cli.main(["discover-ttl", "--server", "127.0.0.1", "--domains", "a.test",
+                         f"{flag}={value}"]) == 1
+        assert "must be finite and positive" in capsys.readouterr().err
+
+    def test_a_nan_rate_from_the_environment_is_a_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("SNOOPDNS_RATE", "nan")
+        monkeypatch.setattr(cli, "UdpExchange", lambda: pytest.fail("probed"))
+        assert cli.main(["snoop", "--server", "127.0.0.1", "--domains", "a.test",
+                         "--cycles", "1"]) == 1
+        assert "rate must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("port", ["abc", "70000", "0", ""])
+    def test_a_bad_server_port_is_a_usage_error_before_any_probe(self, port, monkeypatch,
+                                                                 capsys):
+        monkeypatch.setattr(cli, "_make_prober", lambda *args: pytest.fail("probed"))
+        assert cli.main(["discover-ttl", "--server", f"127.0.0.1:{port}",
+                         "--domains", "a.test"]) == 1
+        assert "from 1 to 65535" in capsys.readouterr().err
+
     def test_broken_scenario_is_an_operational_error(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
         path.write_text("{nope")

@@ -71,6 +71,12 @@ class TestRateLimiter:
         with pytest.raises(ValueError):
             RateLimiter(-3.0, VirtualClock())
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_rate_must_be_finite(self, rate):
+        # a nan or infinite rate would hand out every slot at once
+        with pytest.raises(ValueError):
+            RateLimiter(rate, VirtualClock())
+
     def test_sustained_rate_is_capped(self):
         clock = VirtualClock()
         limiter = RateLimiter(50.0, clock)

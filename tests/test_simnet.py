@@ -527,9 +527,10 @@ class TestUdpSimServer:
                                "recursion_extra_mean": 2.0, "recursion_jitter": 0.1}
         server = serve_udp(config)
         try:
-            prober = Prober(transport=UdpExchange(), clock=SystemClock(), timeout=2.0)
-            first = prober.probe(server.address, "a.test")
-            second = prober.probe(server.address, "a.test")
+            with UdpExchange() as exchange:
+                prober = Prober(transport=exchange, clock=SystemClock(), timeout=2.0)
+                first = prober.probe(server.address, "a.test")
+                second = prober.probe(server.address, "a.test")
             assert first.response.answers[0].ttl == 60
             assert 58 <= second.response.answers[0].ttl <= 60
         finally:

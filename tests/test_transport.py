@@ -1,8 +1,8 @@
 """Prober retry/id behavior and the UDP exchange over loopback."""
 
 import socket
-import struct
 import threading
+import time
 
 import pytest
 
@@ -21,6 +21,13 @@ from snoopdns.transport import (Prober, ProbeTimeout, UdpExchange, split_server)
 ])
 def test_split_server(text, expected):
     assert split_server(text) == expected
+
+
+@pytest.mark.parametrize("text", ["127.0.0.1:abc", "127.0.0.1:70000", "127.0.0.1:0",
+                                  "127.0.0.1:", "[::1]:x", "[::1]:65536"])
+def test_split_server_rejects_a_bad_port(text):
+    with pytest.raises(ValueError, match="from 1 to 65535"):
+        split_server(text)
 
 
 class ScriptedExchange:
@@ -135,15 +142,24 @@ class TestProber:
         assert all(gap >= 0.5 - 1e-9 for gap in gaps)
 
 
-class LoopbackResponder:
-    """Minimal UDP server answering every query with one A record."""
+def answer_with_a_record(data):
+    query = wire.decode_query(data)
+    rr = wire.ResourceRecord(query.qname, wire.RecordType.A, 30, bytes([127, 0, 0, 1]))
+    return wire.encode_response(query.id, wire.DnsQuestion(qname=query.qname), [rr])
 
-    def __init__(self, respond=True):
+
+class LoopbackResponder:
+    """Minimal UDP server: `reply` maps each datagram to the bytes sent
+    back, or None for silence. It records every query's source address."""
+
+    def __init__(self, reply=answer_with_a_record):
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self.sock.bind(("127.0.0.1", 0))
         self.sock.settimeout(0.1)
         self.port = self.sock.getsockname()[1]
-        self.respond = respond
+        self.address = f"127.0.0.1:{self.port}"
+        self.reply = reply
+        self.sources = []
         self._stop = threading.Event()
         self.thread = threading.Thread(target=self._serve, daemon=True)
         self.thread.start()
@@ -154,31 +170,35 @@ class LoopbackResponder:
                 data, addr = self.sock.recvfrom(4096)
             except socket.timeout:
                 continue
-            if not self.respond:
-                continue
-            try:
-                query = wire.decode_query(data)
-            except wire.Malformed:
-                continue
-            rr = wire.ResourceRecord(query.qname, wire.RecordType.A, 30,
-                                     bytes([127, 0, 0, 1]))
-            reply = wire.encode_response(query.id,
-                                         wire.DnsQuestion(qname=query.qname), [rr])
-            self.sock.sendto(reply, addr)
+            self.sources.append(addr)
+            reply = self.reply(data)
+            if reply is not None:
+                self.sock.sendto(reply, addr)
 
     def close(self):
         self._stop.set()
         self.thread.join(timeout=2)
+        assert not self.thread.is_alive()
         self.sock.close()
+
+
+def query_bytes(name="loop.test", ident=0x1234):
+    return wire.encode_query(wire.DnsQuery(ident, name, wire.RecordType.A))
+
+
+def closed_port():
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as closed:
+        closed.bind(("127.0.0.1", 0))
+        return closed.getsockname()[1]
 
 
 class TestUdpExchange:
     def test_round_trip_over_loopback(self):
         responder = LoopbackResponder()
         try:
-            prober = Prober(transport=UdpExchange(), clock=SystemClock(),
-                            timeout=2.0)
-            reply = prober.probe(f"127.0.0.1:{responder.port}", "loop.test")
+            with UdpExchange() as exchange:
+                prober = Prober(transport=exchange, clock=SystemClock(), timeout=2.0)
+                reply = prober.probe(responder.address, "loop.test")
             assert reply.response.answers[0].ttl == 30
             assert reply.rtt_ms > 0
         finally:
@@ -187,29 +207,110 @@ class TestUdpExchange:
     def test_a_server_given_by_host_name_is_answered(self):
         responder = LoopbackResponder()
         try:
-            prober = Prober(transport=UdpExchange(), clock=SystemClock(),
-                            timeout=1.0, retries=0)
-            reply = prober.probe(f"localhost:{responder.port}", "loop.test")
+            with UdpExchange() as exchange:
+                prober = Prober(transport=exchange, clock=SystemClock(),
+                                timeout=1.0, retries=0)
+                reply = prober.probe(f"localhost:{responder.port}", "loop.test")
             assert reply.response.answers[0].ttl == 30
         finally:
             responder.close()
 
     def test_a_closed_port_times_out(self):
         # the ICMP error a connected socket reports is no answer
-        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as closed:
-            closed.bind(("127.0.0.1", 0))
-            port = closed.getsockname()[1]
-        prober = Prober(transport=UdpExchange(), clock=SystemClock(),
-                        timeout=0.05, retries=1)
-        with pytest.raises(ProbeTimeout):
-            prober.probe(f"127.0.0.1:{port}", "loop.test")
-
-    def test_silent_server_times_out(self):
-        responder = LoopbackResponder(respond=False)
-        try:
-            prober = Prober(transport=UdpExchange(), clock=SystemClock(),
+        port = closed_port()
+        with UdpExchange() as exchange:
+            prober = Prober(transport=exchange, clock=SystemClock(),
                             timeout=0.05, retries=1)
             with pytest.raises(ProbeTimeout):
-                prober.probe(f"127.0.0.1:{responder.port}", "loop.test")
+                prober.probe(f"127.0.0.1:{port}", "loop.test")
+
+    def test_an_icmp_error_left_by_an_earlier_probe_is_no_answer(self):
+        # A zero timeout returns before the port-unreachable error arrives,
+        # so it waits on the shared socket and fails the next send.
+        server = f"127.0.0.1:{closed_port()}"
+        with UdpExchange() as exchange:
+            for _ in range(3):
+                with pytest.raises(ProbeTimeout):
+                    exchange.exchange(server, query_bytes(), 0.0)
+                time.sleep(0.05)
+            prober = Prober(transport=exchange, clock=SystemClock(),
+                            timeout=0.05, retries=1)
+            with pytest.raises(ProbeTimeout):
+                prober.probe(server, "loop.test")
+
+    def test_silent_server_times_out(self):
+        responder = LoopbackResponder(reply=lambda data: None)
+        try:
+            with UdpExchange() as exchange:
+                prober = Prober(transport=exchange, clock=SystemClock(),
+                                timeout=0.05, retries=1)
+                with pytest.raises(ProbeTimeout):
+                    prober.probe(responder.address, "loop.test")
         finally:
             responder.close()
+
+    def test_probes_to_one_server_share_a_source_port(self):
+        first, second = LoopbackResponder(), LoopbackResponder()
+        try:
+            with UdpExchange() as exchange:
+                prober = Prober(transport=exchange, clock=SystemClock(), timeout=2.0)
+                for _ in range(5):
+                    prober.probe(first.address, "loop.test")
+                prober.probe(second.address, "loop.test")
+            assert len(first.sources) == 5
+            assert len(set(first.sources)) == 1
+            assert first.sources[0][1] != second.sources[0][1]
+        finally:
+            first.close()
+            second.close()
+
+    def test_a_late_reply_to_an_abandoned_attempt_is_dropped(self):
+        # The first reply is held past its attempt's timeout and arrives
+        # just before the retry's own reply, on the same socket.
+        held = threading.Event()
+
+        def reply(data):
+            if not held.is_set():
+                held.set()
+                time.sleep(0.7)
+            return answer_with_a_record(data)
+
+        responder = LoopbackResponder(reply=reply)
+        try:
+            with UdpExchange() as exchange:
+                with pytest.raises(ProbeTimeout):
+                    exchange.exchange(responder.address, query_bytes(ident=1), 0.5)
+                retry = query_bytes(ident=2)
+                data, rtt_ms, _ = exchange.exchange(responder.address, retry, 0.5)
+            assert wire.decode_response(data).id == 2
+            assert rtt_ms < 500
+        finally:
+            responder.close()
+
+    def test_an_echoed_query_is_not_a_reply(self):
+        # same id and question as the query, but the QR bit is clear
+        responder = LoopbackResponder(reply=lambda data: data)
+        try:
+            with UdpExchange() as exchange:
+                prober = Prober(transport=exchange, clock=SystemClock(),
+                                timeout=0.1, retries=1)
+                with pytest.raises(ProbeTimeout):
+                    prober.probe(responder.address, "loop.test", recursion_desired=False)
+            assert len(responder.sources) == 2
+        finally:
+            responder.close()
+
+    def test_close_releases_every_socket(self):
+        first, second = LoopbackResponder(), LoopbackResponder()
+        try:
+            exchange = UdpExchange()
+            for responder in (first, second):
+                exchange.exchange(responder.address, query_bytes(), 2.0)
+            sockets = list(exchange._sockets.values())
+            assert len(sockets) == 2
+            exchange.close()
+            assert all(sock.fileno() == -1 for sock in sockets)
+            assert not exchange._sockets
+        finally:
+            first.close()
+            second.close()
