@@ -13,8 +13,8 @@ from .corpus import (DomainEntry, DomainList, ObservationLog, ObservationWriter,
 from .engine import (DEFAULT_TUNING, INVALIDATING_KINDS, CycleError,
                      DiscoveryBudgetExceeded, DiscoveryMachine,
                      InconsistentTtl, InsufficientSeparation, MaxTtlEstimate,
-                     NonMonotonicTtl, Rd0Machine, RdBehavior, RdNotHonored,
-                     RefreshEvent, RefreshObservation, ServerPrefetches,
+                     NonMonotonicTtl, Rd0Machine, RdBehavior, RefreshEvent,
+                     RefreshObservation, ServerPrefetches,
                      SnoopError, TimingCalibration, TimingMachine,
                      TtlExceedsMax, TtlRecursiveMachine, Tuning,
                      UnresolvableDomain, build_machine, calibrate_timing,
@@ -44,7 +44,7 @@ __all__ = [
     "DEFAULT_TUNING", "INVALIDATING_KINDS", "CycleError",
     "DiscoveryBudgetExceeded", "DiscoveryMachine", "InconsistentTtl",
     "InsufficientSeparation", "MaxTtlEstimate", "NonMonotonicTtl",
-    "Rd0Machine", "RdBehavior", "RdNotHonored", "RefreshEvent",
+    "Rd0Machine", "RdBehavior", "RefreshEvent",
     "RefreshObservation", "ServerPrefetches", "SnoopError",
     "TimingCalibration", "TimingMachine", "TtlExceedsMax",
     "TtlRecursiveMachine", "Tuning", "UnresolvableDomain", "build_machine",

@@ -42,11 +42,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; usage problems are 1 here
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self._usage_exit(message))
-
-    def _usage_exit(self, message) -> int:
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return 1
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _build_parser() -> _Parser:
@@ -219,6 +215,28 @@ def _make_prober(args, config: dict) -> Prober:
                   limiter=RateLimiter(rate, clock), timeout=timeout)
 
 
+def _scan_settings(args, config: dict, default_duration: float | None) -> tuple:
+    """The settings snoop and simulate share, checked before any probe:
+    (method, duration, window_fraction, probe_interval, confirmations)."""
+    method = _setting(args, config, "method", "ttl_recursive")
+    if method not in engine.METHODS:
+        raise UsageError(f"unknown method {method!r}")
+    duration = _setting(args, config, "duration", default_duration, float)
+    if duration is not None and not 0 < duration < float("inf"):
+        raise UsageError(f"--duration must be finite and positive, got {duration:g}")
+    window_fraction = _setting(args, config, "window_fraction", 1.0, float)
+    if not 0 < window_fraction <= 1:
+        raise UsageError(f"--window-fraction must be in (0, 1], got {window_fraction:g}")
+    probe_interval = _setting(args, config, "probe_interval", None, float)
+    if probe_interval is not None and not 0 < probe_interval < float("inf"):
+        raise UsageError(f"--probe-interval must be finite and positive, "
+                         f"got {probe_interval:g}")
+    confirmations = _setting(args, config, "confirmations", 5, int)
+    if confirmations < 1:
+        raise UsageError(f"--confirmations must be at least 1, got {confirmations}")
+    return method, duration, window_fraction, probe_interval, confirmations
+
+
 def _z_for(confidence: float) -> float:
     if not 0 < confidence < 1:
         raise UsageError(f"confidence must be in (0, 1), got {confidence}")
@@ -292,19 +310,13 @@ def cmd_snoop(args) -> int:
         raise UsageError("no resolver given; use --server")
     _require_authorization(server, _setting(args, config, "authorized", False, bool))
     domains = _gather_domains(args, config)
-    method = _setting(args, config, "method", "ttl_recursive")
-    if method not in engine.METHODS:
-        raise UsageError(f"unknown method {method!r}")
-    duration = _setting(args, config, "duration", None, float)
+    method, duration, window_fraction, probe_interval, confirmations = _scan_settings(
+        args, config, None)
     cycles = _setting(args, config, "cycles", None, int)
     if duration is None and cycles is None:
         raise UsageError("give a budget: --duration seconds or --cycles N")
-    if duration is not None and not duration > 0:
-        raise UsageError(f"--duration must be positive, got {duration:g}")
     if cycles is not None and cycles < 1:
         raise UsageError(f"--cycles must be at least 1, got {cycles}")
-    window_fraction = _setting(args, config, "window_fraction", 1.0, float)
-    probe_interval = _setting(args, config, "probe_interval", None, float)
     prober = _make_prober(args, config)
     clock = prober.clock
     with prober.transport:
@@ -323,7 +335,6 @@ def cmd_snoop(args) -> int:
             if missing:
                 raise UsageError(f"--max-ttls file lacks: {', '.join(missing)}")
         else:
-            confirmations = _setting(args, config, "confirmations", 5, int)
             found, failed = scan.discover_all(prober, clock, server, domains,
                                               required_confirmations=confirmations)
             for domain, why in failed.items():
@@ -408,18 +419,13 @@ def cmd_report(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = _load_config(args.config)
+    method, duration, window_fraction, probe_interval, confirmations = _scan_settings(
+        args, config, 3600.0)
     raw = simnet.load_scenario(args.scenario)
     if args.seed is not None:
         raw = dict(raw)
         raw["seed"] = args.seed
     sim_config = simnet.config_from_dict(raw)
-    duration = _setting(args, config, "duration", 3600.0, float)
-    method = _setting(args, config, "method", "ttl_recursive")
-    if method not in engine.METHODS:
-        raise UsageError(f"unknown method {method!r}")
-    window_fraction = _setting(args, config, "window_fraction", 1.0, float)
-    probe_interval = _setting(args, config, "probe_interval", None, float)
-    confirmations = _setting(args, config, "confirmations", 5, int)
     fmt = _setting(args, config, "format", "table")
 
     writer = None

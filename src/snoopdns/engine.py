@@ -22,6 +22,10 @@ scheduler rather than sleeping internally, so one thread can interleave
 many domains on either a virtual or the real clock. That scheduler is
 _run_machines, at the end of this module: scan runs every scan and
 discovery on it, and discover_max_ttl drives a single machine on it.
+
+Each check of that invariant has one home: _exceeds_max,
+_checkpoint_fits, _check_countdown, _window, and the _adopt_max and
+_observe methods that every probing machine inherits.
 """
 
 import heapq
@@ -51,10 +55,6 @@ class NonMonotonicTtl(SnoopError):
 class TtlExceedsMax(SnoopError):
     """A read came back above the believed maximum TTL; the stored
     maximum is stale and should be rediscovered."""
-
-
-class RdNotHonored(SnoopError):
-    """Answers imply recursion occurred despite RD=0."""
 
 
 class InsufficientSeparation(SnoopError):
@@ -120,6 +120,13 @@ def ttl_grace(max_ttl: float) -> float:
     1% of the maximum for very large TTLs.
     """
     return max(2.0, 0.01 * max_ttl)
+
+
+def _exceeds_max(ttl: float, max_ttl: float) -> bool:
+    """Whether a read lies above the believed maximum by more than the
+    grace: an honest cache never answers above the TTL it was given,
+    so the believed maximum is stale."""
+    return ttl > max_ttl + ttl_grace(max_ttl)
 
 
 def snap_to_grid(reading: int, grid: tuple[int, ...] = DEFAULT_TUNING.snap_grid,
@@ -247,9 +254,9 @@ def classify_window_read(t_prime: float, max_ttl: float, window: float) -> float
     Raises TtlExceedsMax for reads above the believed maximum and
     InconsistentTtl for reads implying a refresh before expiry.
     """
-    grace = ttl_grace(max_ttl)
-    if t_prime > max_ttl + grace:
+    if _exceeds_max(t_prime, max_ttl):
         raise TtlExceedsMax(f"read {t_prime} above believed max {max_ttl}")
+    grace = ttl_grace(max_ttl)
     if t_prime >= max_ttl - grace:
         return None
     delay = window - (max_ttl - t_prime)
@@ -316,6 +323,12 @@ def _check_countdown(last_ttl: int, last_at: float, ttl: int, at: float,
         return "non_monotonic_ttl", f"TTL stuck at {ttl} across {elapsed:.0f}s"
     return ("server_prefetches",
             f"TTL jumped to {ttl} with ~{max(expected, 0):.0f}s left before expiry")
+
+
+def _checkpoint_fits(ttl: int, tuning: Tuning) -> bool:
+    """Whether a record read with ttl seconds left has room for a
+    checkpoint probe before the read just past its expiry."""
+    return ttl > tuning.checkpoint_margin + tuning.post_expiry_epsilon + 1.0
 
 
 class DiscoveryMachine:
@@ -403,10 +416,9 @@ class DiscoveryMachine:
         # next round: a checkpoint shortly before expiry unless the TTL is
         # too short for one, then the roll-over read just past it
         self._last_ttl, self._last_at = ttl, reply.sent_at
-        margin = tuning.checkpoint_margin
-        if ttl > margin + tuning.post_expiry_epsilon + 1.0:
+        if _checkpoint_fits(ttl, tuning):
             self._mode = "checkpoint"
-            return reply.sent_at + ttl - margin
+            return reply.sent_at + ttl - tuning.checkpoint_margin
         self._mode = "rollover"
         return reply.sent_at + ttl + tuning.post_expiry_epsilon
 
@@ -484,10 +496,23 @@ def classify_timing(rtt_ms: float, calibration: TimingCalibration,
     return "abstain"
 
 
+def _window(window: float | None, max_ttl: int) -> float:
+    """The watch window past expiry: a whole max_ttl unless given, and
+    always within (0, max_ttl]."""
+    if window is None:
+        return float(max_ttl)
+    if not 0 < window <= max_ttl:
+        raise ValueError(f"window must be in (0, max_ttl], got {window} for {max_ttl}")
+    return window
+
+
 class _ProbingMachine:
     """What the three probing machines share: the domain they probe, the
     completed-cycle count that max_cycles budgets read, and the run of
-    timeouts that ends the domain at failure_limit in a row."""
+    timeouts that ends the domain at failure_limit in a row. _adopt_max
+    is the one place a stale maximum is adopted, _observe the one place
+    a completed cycle is recorded. step returns (next wake, items), the
+    wake None exactly when the machine is done."""
 
     method: str
 
@@ -504,6 +529,25 @@ class _ProbingMachine:
 
     def _error(self, at: float, kind: str, message: str) -> CycleError:
         return CycleError(self.server, self.domain, self.method, at, kind, message)
+
+    def _observe(self, items: list, start: float, length: float, rtt_ms: float,
+                 delay: float | None = None) -> None:
+        """Record one completed cycle over [start, start + length]:
+        censored when delay is None, else an event delay seconds in."""
+        event = None if delay is None else RefreshEvent(delay, start + delay)
+        items.append(RefreshObservation(self.server, self.domain, self.method, start,
+                                        length, rtt_ms, event is None, event))
+        self.cycles_completed += 1
+
+    def _adopt_max(self, items: list, at: float, ttl: int) -> bool:
+        """Annotate a read above the believed maximum and adopt its
+        grid-snapped value as the maximum. Returns whether it did."""
+        if not _exceeds_max(ttl, self.max_ttl):
+            return False
+        items.append(self._error(at, "ttl_exceeds_max",
+                                 f"read {ttl} above believed max {self.max_ttl}"))
+        self.max_ttl = snap_to_grid(ttl, self.tuning.snap_grid, self.tuning.snap_tolerance)[0]
+        return True
 
     def _probe(self, items: list, recursion_desired: bool = True,
                stamp: float | None = None) -> ProbeReply | None:
@@ -540,9 +584,8 @@ class TtlRecursiveMachine(_ProbingMachine):
     method = "ttl_recursive"
 
     def __init__(self, prober: Prober, server: str, domain: str, max_ttl: int,
-                 window: float, tuning: Tuning = DEFAULT_TUNING):
-        if not 0 < window <= max_ttl:
-            raise ValueError(f"window must be in (0, max_ttl], got {window} for {max_ttl}")
+                 window: float | None, tuning: Tuning = DEFAULT_TUNING):
+        window = _window(window, max_ttl)
         super().__init__(prober, server, domain, max_ttl, tuning)
         self.window = window
         self._mode = "init"
@@ -578,96 +621,70 @@ class TtlRecursiveMachine(_ProbingMachine):
         self._expiry = sent_at + ttl
         self._last_read = ttl
         every = self.tuning.checkpoint_every
-        due = every > 0 and self.cycles_completed % every == 0
-        margin = self.tuning.checkpoint_margin
-        if due and ttl > margin + self.tuning.post_expiry_epsilon + 1.0:
+        if (every > 0 and self.cycles_completed % every == 0
+                and _checkpoint_fits(ttl, self.tuning)):
             self._mode = "checkpoint"
-            return self._expiry - margin
+            return self._expiry - self.tuning.checkpoint_margin
         self._mode = "window"
         return self._expiry + self.window
+
+    def _backoff(self, now: float) -> float | None:
+        """The wake after a failed read, or None once failures ended the domain."""
+        if self.done:
+            return None
+        return now + (self.tuning.timeout_backoff if self._timeouts
+                      else self.tuning.noanswer_backoff)
 
     def step(self, now: float) -> tuple[float | None, list]:
         items: list = []
         if self.done:
             return None, items
+        got = self._read(items)
+        if got is None:
+            return self._backoff(now), items
+        reply, ttl = got
 
         if self._mode == "init":
-            got = self._read(items)
-            if got is None:
-                return (None if self.done else now + self._backoff(), items)
-            reply, ttl = got
-            grace = ttl_grace(self.max_ttl)
-            if ttl > self.max_ttl + grace:
-                items.append(self._error(reply.sent_at, "ttl_exceeds_max",
-                                         f"read {ttl} above believed max {self.max_ttl}"))
-                self.max_ttl = snap_to_grid(ttl, self.tuning.snap_grid,
-                                            self.tuning.snap_tolerance)[0]
+            self._adopt_max(items, reply.sent_at, ttl)
             return self._arm(reply.sent_at, ttl), items
 
         if self._mode == "checkpoint":
-            got = self._read(items)
-            if got is None:
-                return (None if self.done else now + self._backoff(), items)
-            reply, ttl = got
             verdict = _check_countdown(self._last_read, self._expiry - self._last_read,
                                       ttl, reply.sent_at, self.tuning.snap_tolerance)
-            if verdict is not None:
-                kind, message = verdict
-                items.append(self._error(reply.sent_at, kind, message))
-                if kind == "checkpoint_late":
-                    # the record may have been re-fetched since expiry, so
-                    # no window can be watched: start over from this read
-                    return self._arm(reply.sent_at, ttl), items
-                if kind == "server_prefetches":
-                    self.done = True
-                    return None, items
-                self._mode = "init"
-                self._static_runs += 1
-                if self._static_runs >= self.tuning.failure_limit:
-                    self.done = True
-                    return None, items
-                return now + self._backoff(), items
-            self._static_runs = 0
-            self._mode = "window"
-            return self._expiry + self.window, items
+            if verdict is None:
+                self._static_runs = 0
+                self._mode = "window"
+                return self._expiry + self.window, items
+            kind, message = verdict
+            items.append(self._error(reply.sent_at, kind, message))
+            if kind == "checkpoint_late":
+                # the record may have been re-fetched since expiry, so
+                # no window can be watched: start over from this read
+                return self._arm(reply.sent_at, ttl), items
+            if kind == "server_prefetches":
+                self.done = True
+                return None, items
+            self._mode = "init"
+            self._static_runs += 1
+            if self._static_runs >= self.tuning.failure_limit:
+                self.done = True
+            return self._backoff(now), items
 
         # window probe: classifies the cycle and doubles as the next pre-probe
-        got = self._read(items)
-        if got is None:
-            return (None if self.done else now + self._backoff(), items)
-        reply, ttl = got
         window_eff = reply.sent_at - self._expiry
-        grace = ttl_grace(self.max_ttl)
-        if window_eff > self.max_ttl + grace:
+        if window_eff > self.max_ttl + ttl_grace(self.max_ttl):
             # Scheduling slipped past a full cache lifetime; the read no
             # longer pins the refresh. Discard and re-baseline.
             items.append(self._error(reply.sent_at, "window_overrun",
                                      f"probe ran {window_eff:.1f}s after expiry"))
-            return self._arm(reply.sent_at, ttl), items
-        try:
-            delay = classify_window_read(ttl, self.max_ttl, window_eff)
-        except TtlExceedsMax as exc:
-            items.append(self._error(reply.sent_at, "ttl_exceeds_max", str(exc)))
-            self.max_ttl = snap_to_grid(ttl, self.tuning.snap_grid,
-                                        self.tuning.snap_tolerance)[0]
-            return self._arm(reply.sent_at, ttl), items
-        except InconsistentTtl as exc:
-            items.append(self._error(reply.sent_at, "inconsistent_ttl", str(exc)))
-            return self._arm(reply.sent_at, ttl), items
-        if delay is None:
-            observation = RefreshObservation(
-                self.server, self.domain, self.method, self._expiry, window_eff,
-                reply.rtt_ms, True)
-        else:
-            observation = RefreshObservation(
-                self.server, self.domain, self.method, self._expiry, window_eff,
-                reply.rtt_ms, False, RefreshEvent(delay, self._expiry + delay))
-        items.append(observation)
-        self.cycles_completed += 1
+        elif not self._adopt_max(items, reply.sent_at, ttl):
+            try:
+                delay = classify_window_read(ttl, self.max_ttl, window_eff)
+            except InconsistentTtl as exc:
+                items.append(self._error(reply.sent_at, "inconsistent_ttl", str(exc)))
+            else:
+                self._observe(items, self._expiry, window_eff, reply.rtt_ms, delay)
         return self._arm(reply.sent_at, ttl), items
-
-    def _backoff(self) -> float:
-        return self.tuning.timeout_backoff if self._timeouts else self.tuning.noanswer_backoff
 
 
 class Rd0Machine(_ProbingMachine):
@@ -723,15 +740,13 @@ class Rd0Machine(_ProbingMachine):
         sent = reply.sent_at
         ttl = _answer_ttl(reply, self.domain)
         span = None if self._last_probe is None else sent - self._last_probe
+        delay = None  # stays None when the span is censored
 
         eps = self.tuning.dedup_epsilon
-        if ttl is not None and ttl > self.max_ttl + ttl_grace(self.max_ttl):
-            # believed maximum is stale; adopt and re-baseline, the old
-            # refresh inference no longer means anything
-            items.append(self._error(sent, "ttl_exceeds_max",
-                                     f"read {ttl} above believed max {self.max_ttl}"))
-            self.max_ttl = snap_to_grid(ttl, self.tuning.snap_grid,
-                                        self.tuning.snap_tolerance)[0]
+        if ttl is not None and self._adopt_max(items, sent, ttl):
+            # the old refresh inference no longer means anything, so
+            # neither does the span it would date
+            span = None
             self._last_refresh = None
             self._fetch_signatures = 0
             self._early_refreshes = 0
@@ -740,14 +755,11 @@ class Rd0Machine(_ProbingMachine):
             # and proof the record is allowed to expire
             self._fetch_signatures = 0
             self._early_refreshes = 0
-            self._censor_span(reply, span, items)
         else:
             refresh_time = min(sent - (self.max_ttl - ttl), sent)
             duplicate = (self._last_refresh is not None
                          and abs(refresh_time - self._last_refresh) <= eps)
-            if duplicate:
-                self._censor_span(reply, span, items)
-            else:
+            if not duplicate:
                 if ttl >= self.max_ttl:
                     # full TTL: fetched at this very probe, either by an
                     # unlucky client or by the probe itself
@@ -776,24 +788,15 @@ class Rd0Machine(_ProbingMachine):
                         "max is stale-high"))
                     self.done = True
                     return None, items
-                if span is not None and span > 0:
+                if span is not None:
                     delay = min(max(refresh_time - self._last_probe, 0.0), span)
-                    items.append(RefreshObservation(
-                        self.server, self.domain, self.method, self._last_probe, span,
-                        reply.rtt_ms, False, RefreshEvent(delay, self._last_probe + delay)))
-                    self.cycles_completed += 1
                 self._last_refresh = refresh_time
 
+        # a negative span is possible on the system clock
+        if span is not None and span > 0:
+            self._observe(items, self._last_probe, span, reply.rtt_ms, delay)
         self._last_probe = sent
         return sent + self.interval, items
-
-    def _censor_span(self, reply: ProbeReply, span: float | None, items: list) -> None:
-        if span is None or span <= 0:
-            return
-        items.append(RefreshObservation(
-            self.server, self.domain, self.method, self._last_probe, span,
-            reply.rtt_ms, True))
-        self.cycles_completed += 1
 
 
 class TimingMachine(_ProbingMachine):
@@ -810,10 +813,9 @@ class TimingMachine(_ProbingMachine):
     method = "timing"
 
     def __init__(self, prober: Prober, server: str, domain: str, max_ttl: int,
-                 window: float, calibration: TimingCalibration,
+                 window: float | None, calibration: TimingCalibration,
                  tuning: Tuning = DEFAULT_TUNING):
-        if not 0 < window <= max_ttl:
-            raise ValueError(f"window must be in (0, max_ttl], got {window} for {max_ttl}")
+        window = _window(window, max_ttl)
         super().__init__(prober, server, domain, max_ttl, tuning)
         self.window = window
         self.calibration = calibration
@@ -839,17 +841,9 @@ class TimingMachine(_ProbingMachine):
         if verdict == "abstain":
             items.append(self._error(sent, "abstain",
                                      f"rtt {reply.rtt_ms:.2f}ms inside the guard band"))
-        elif verdict == "miss":
-            items.append(RefreshObservation(
-                self.server, self.domain, self.method, self._expiry_bound, window_eff,
-                reply.rtt_ms, True))
-            self.cycles_completed += 1
         else:
-            delay = window_eff / 2.0
-            items.append(RefreshObservation(
-                self.server, self.domain, self.method, self._expiry_bound, window_eff,
-                reply.rtt_ms, False, RefreshEvent(delay, self._expiry_bound + delay)))
-            self.cycles_completed += 1
+            self._observe(items, self._expiry_bound, window_eff, reply.rtt_ms,
+                          None if verdict == "miss" else window_eff / 2.0)
         self._expiry_bound = sent + self.max_ttl
         return self._expiry_bound + self.window, items
 
@@ -860,18 +854,15 @@ def build_machine(method: str, prober: Prober, server: str, domain: str, *,
                   calibration: TimingCalibration | None = None,
                   tuning: Tuning = DEFAULT_TUNING):
     if method == "ttl_recursive":
-        return TtlRecursiveMachine(prober, server, domain, max_ttl,
-                                   window if window is not None else float(max_ttl),
-                                   tuning=tuning)
+        return TtlRecursiveMachine(prober, server, domain, max_ttl, window, tuning=tuning)
     if method == "rd0":
         return Rd0Machine(prober, server, domain, max_ttl,
                           probe_interval=probe_interval, tuning=tuning)
     if method == "timing":
         if calibration is None:
             raise ValueError("timing method requires a calibration")
-        return TimingMachine(prober, server, domain, max_ttl,
-                             window if window is not None else float(max_ttl),
-                             calibration, tuning=tuning)
+        return TimingMachine(prober, server, domain, max_ttl, window, calibration,
+                             tuning=tuning)
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
@@ -898,7 +889,7 @@ def _run_machines(clock: Clock, machines: list, start: float,
         next_wake, items = machine.step(clock.now())
         if items and emit is not None:
             emit(items)
-        if next_wake is None or machine.done:
+        if next_wake is None:
             continue
         heapq.heappush(heap, (next_wake, seq, machine))
         seq += 1

@@ -439,17 +439,21 @@ class Sim:
             return 0.0
         return max(0.0, entry.expires_at - at)
 
+    def _prefetches_at(self, remaining: float) -> bool:
+        """Whether a query that finds `remaining` seconds of TTL makes a
+        pre_refresh server refill the record ahead of expiry."""
+        anomaly = self.config.anomaly
+        return (remaining > 0 and anomaly.kind == "pre_refresh"
+                and anomaly.remaining_low <= remaining <= anomaly.remaining_high)
+
     def _client_lookup(self, at: float, domain: str) -> None:
         self.log.append(at, "client_query", domain)
         remaining = self._remaining(domain, at)
-        anomaly = self.config.anomaly
-        if remaining > 0:
-            if (anomaly.kind == "pre_refresh"
-                    and anomaly.remaining_low <= remaining <= anomaly.remaining_high):
-                self._refresh(domain, _zone_for(self.config.zones, domain), at, "prefetch")
-            # otherwise a plain cache hit: no state change
-        else:
+        if self._prefetches_at(remaining):
+            self._refresh(domain, _zone_for(self.config.zones, domain), at, "prefetch")
+        elif remaining <= 0:
             self._refresh(domain, _zone_for(self.config.zones, domain), at, "client")
+        # otherwise a plain cache hit: no state change
 
     # -- RTT draws -----------------------------------------------------
 
@@ -484,9 +488,7 @@ class Sim:
             return wire.DnsResponse(query.id, wire.Rcode.NXDOMAIN, True), self._rtt_recursive()
 
         remaining = self._remaining(domain, at)
-        anomaly = self.config.anomaly
-        if (remaining > 0 and anomaly.kind == "pre_refresh"
-                and anomaly.remaining_low <= remaining <= anomaly.remaining_high):
+        if self._prefetches_at(remaining):
             self._refresh(domain, zone, at, "prefetch")
             remaining = self._remaining(domain, at)
 

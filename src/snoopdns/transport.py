@@ -121,7 +121,7 @@ class ProbeReply:
 
 @dataclass
 class Prober:
-    """Builds, sends, and decodes queries with retries and pacing.
+    """Builds, sends, and decodes A queries with retries and pacing.
 
     Each attempt uses a fresh transaction id so a late reply to a lost
     probe cannot be mistaken for the current one; a reply that carries
@@ -134,21 +134,17 @@ class Prober:
     clock: Clock
     limiter: RateLimiter | None = None
     rng: random.Random = field(default_factory=random.Random)
-    qtype: int = wire.RecordType.A
     timeout: float = 2.0
     retries: int = 3
 
-    def probe(self, server: str, name: str, recursion_desired: bool = True,
-              qtype: int | None = None) -> ProbeReply:
+    def probe(self, server: str, name: str, recursion_desired: bool = True) -> ProbeReply:
         attempts = self.retries + 1
         qname = wire.normalize_name(name)
-        if qtype is None:
-            qtype = self.qtype
         last_error: Exception | None = None
         for _ in range(attempts):
             if self.limiter is not None:
                 self.limiter.acquire()
-            query = wire.DnsQuery(self.rng.randrange(0x10000), name, qtype,
+            query = wire.DnsQuery(self.rng.randrange(0x10000), name, wire.RecordType.A,
                                   wire.RecordClass.IN, recursion_desired)
             payload = wire.encode_query(query)
             try:
@@ -168,7 +164,7 @@ class Prober:
                 last_error = wire.Malformed("reply has the QR bit clear")
                 continue
             echoed = response.question
-            if echoed is not None and (echoed.qname, echoed.qtype) != (qname, qtype):
+            if echoed is not None and (echoed.qname, echoed.qtype) != (qname, wire.RecordType.A):
                 # RFC 5452 section 9.1: the reply must echo the question asked
                 last_error = wire.Malformed("question does not match the query")
                 continue

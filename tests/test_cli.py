@@ -4,6 +4,7 @@ and the simulate/report pipeline on real files."""
 import csv
 import io
 import json
+import socket
 import types
 
 import pytest
@@ -27,6 +28,11 @@ def scenario_file(tmp_path, **overrides):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(config))
     return str(path)
+
+
+# scan settings that no scan can run with; simulate and snoop share them
+BAD_SCAN_SETTINGS = [["--window-fraction", "2"], ["--method", "rd0", "--probe-interval", "0"],
+                     ["--confirmations", "0"]]
 
 
 def observation_log(tmp_path, domains, per_domain=5, name="log.jsonl"):
@@ -104,6 +110,26 @@ class TestExitCodes:
         assert cli.main(["discover-ttl", "--server", f"127.0.0.1:{port}",
                          "--domains", "a.test"]) == 1
         assert "from 1 to 65535" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", BAD_SCAN_SETTINGS)
+    def test_snoop_rejects_a_bad_scan_setting_before_any_query(self, setting, capsys):
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as server:
+            server.bind(("127.0.0.1", 0))
+            server.setblocking(False)
+            port = server.getsockname()[1]
+            assert cli.main(["snoop", "--server", f"127.0.0.1:{port}", "--domains", "a.test",
+                             "--cycles", "1", "--timeout", "0.1", *setting]) == 1
+            with pytest.raises(BlockingIOError):
+                server.recv(512)
+        assert "must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", [*BAD_SCAN_SETTINGS, ["--duration", "-5"],
+                                         ["--duration", "inf"]])
+    def test_simulate_rejects_a_bad_scan_setting_before_running(self, tmp_path, setting,
+                                                               monkeypatch, capsys):
+        monkeypatch.setattr(cli.scan, "run_batch", lambda *a, **kw: pytest.fail("ran"))
+        assert cli.main(["simulate", "--scenario", scenario_file(tmp_path), *setting]) == 1
+        assert "must be" in capsys.readouterr().err
 
     def test_broken_scenario_is_an_operational_error(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
@@ -245,7 +271,8 @@ class TestReportCommand:
         code = cli.main(["report", "--in", log, "--format", "csv",
                          "--top", "2", "--out", str(report)])
         assert code == 0
-        rows = list(csv.DictReader(report.open()))
+        with report.open() as handle:
+            rows = list(csv.DictReader(handle))
         assert len(rows) == 2
         assert rows[0]["rank"] == "1"
 

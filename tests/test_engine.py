@@ -536,6 +536,35 @@ class TestRd0Machine:
         assert not machine.done
 
 
+class TestMaxTtlAdoption:
+    """Every read that can exceed the believed maximum annotates it,
+    adopts the grid-snapped reading and keeps probing from that read."""
+
+    @pytest.mark.parametrize("site,script,wake", [
+        # the first read fixes expiry 119; the window is 60 s past it
+        ("ttl_recursive_init", [119], 119.0 + 60.0),
+        # the init read arms a window probe at 120; its read of 119 re-arms
+        ("ttl_recursive_window", [60, 119], 120.0 + 119.0 + 60.0),
+        ("rd0", [119], 30.0),
+    ])
+    def test_the_snapped_reading_becomes_the_max(self, scripted, site, script, wake):
+        prober, clock, _ = scripted(script, rtt_ms=0.0)
+        if site == "rd0":
+            machine = Rd0Machine(prober, "sim", "a.test", max_ttl=60, probe_interval=30.0)
+        else:
+            machine = TtlRecursiveMachine(prober, "sim", "a.test", max_ttl=60,
+                                          window=60.0, tuning=NO_CHECKPOINTS)
+        if site == "ttl_recursive_window":
+            assert machine.step(clock.now()) == (120.0, [])
+            clock.sleep_until(120.0)
+        next_wake, items = machine.step(clock.now())
+        assert [(i.kind, i.message) for i in items] == [
+            ("ttl_exceeds_max", "read 119 above believed max 60")]
+        assert machine.max_ttl == 120
+        assert next_wake == pytest.approx(wake)
+        assert not machine.done
+
+
 class TestRdBehavior:
     def test_honoring_server(self):
         prober, _, _ = sim_prober(quiet_zone())
