@@ -49,12 +49,12 @@ print("observed for 4 virtual hours by each method in turn.\n")
 results = {}
 for salt, method in enumerate(("rd0", "ttl_recursive", "timing")):
     prober, clock = fresh_prober(salt)
-    calibrations = None
+    calibration = None
     if method == "timing":
-        calibrations = {"api.example": calibrate_timing(prober, "sim", "probe.example")}
+        calibration = calibrate_timing(prober, "sim", "probe.example")
     result = run_scan(prober, clock, "sim", ["api.example"], method=method,
                       max_ttls={"api.example": MAX_TTL}, duration=4 * 3600.0,
-                      calibrations=calibrations)
+                      calibration=calibration)
     stats = result.stats()["api.example"]
     est = results[method] = estimate(stats)
     events = [o for o in result.observations if o.event is not None]

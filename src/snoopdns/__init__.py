@@ -10,13 +10,13 @@ from .clock import Clock, SystemClock, VirtualClock
 from .corpus import (DomainEntry, DomainList, ObservationLog, ObservationWriter,
                      ParseError, ResolverUnreachable, liveness_filter,
                      load_domain_list, load_observations)
-from .engine import (DEFAULT_TUNING, INVALIDATING_KINDS, CycleError,
+from .engine import (INVALIDATING_KINDS, CycleError,
                      DiscoveryBudgetExceeded, DiscoveryMachine,
                      InconsistentTtl, InsufficientSeparation, MaxTtlEstimate,
                      NonMonotonicTtl, Rd0Machine, RdBehavior, RefreshEvent,
                      RefreshObservation, ServerPrefetches,
                      SnoopError, TimingCalibration, TimingMachine,
-                     TtlExceedsMax, TtlRecursiveMachine, Tuning,
+                     TtlExceedsMax, TtlRecursiveMachine,
                      UnresolvableDomain, build_machine, calibrate_timing,
                      check_rd_behavior, classify_timing, classify_window_read,
                      discover_max_ttl, snap_to_grid, ttl_grace)
@@ -26,8 +26,8 @@ from .estimation import (ArrivalEstimate, DomainStats, NoObservations, aggregate
 from .ratelimit import RateLimiter
 from .scan import (BatchResult, ScanResult, discover_all, run_batch, run_scan,
                    true_client_rates)
-from .simnet import (ConfigError, Sim, SimConfig, SimExchange, UdpSimServer,
-                     build_sim, config_from_dict, load_scenario, serve_udp)
+from .simnet import (ConfigError, Sim, SimConfig, SimExchange, build_sim,
+                     config_from_dict, load_scenario, serve_udp)
 from .transport import ProbeReply, Prober, ProbeTimeout, UdpExchange
 from .wire import (DnsQuery, DnsResponse, InvalidName, Malformed, Rcode,
                    RecordType, ResourceRecord, decode_query, decode_response,
@@ -41,13 +41,13 @@ __all__ = [
     "DomainEntry", "DomainList", "ObservationLog", "ObservationWriter",
     "ParseError", "ResolverUnreachable", "liveness_filter", "load_domain_list",
     "load_observations",
-    "DEFAULT_TUNING", "INVALIDATING_KINDS", "CycleError",
+    "INVALIDATING_KINDS", "CycleError",
     "DiscoveryBudgetExceeded", "DiscoveryMachine", "InconsistentTtl",
     "InsufficientSeparation", "MaxTtlEstimate", "NonMonotonicTtl",
     "Rd0Machine", "RdBehavior", "RefreshEvent",
     "RefreshObservation", "ServerPrefetches", "SnoopError",
     "TimingCalibration", "TimingMachine", "TtlExceedsMax",
-    "TtlRecursiveMachine", "Tuning", "UnresolvableDomain", "build_machine",
+    "TtlRecursiveMachine", "UnresolvableDomain", "build_machine",
     "calibrate_timing", "check_rd_behavior", "classify_timing",
     "classify_window_read", "discover_max_ttl", "snap_to_grid", "ttl_grace",
     "ArrivalEstimate", "DomainStats", "NoObservations", "aggregate",
@@ -56,8 +56,8 @@ __all__ = [
     "RateLimiter",
     "BatchResult", "ScanResult", "discover_all", "run_batch", "run_scan",
     "true_client_rates",
-    "ConfigError", "Sim", "SimConfig", "SimExchange", "UdpSimServer",
-    "build_sim", "config_from_dict", "load_scenario", "serve_udp",
+    "ConfigError", "Sim", "SimConfig", "SimExchange", "build_sim",
+    "config_from_dict", "load_scenario", "serve_udp",
     "ProbeReply", "Prober", "ProbeTimeout", "UdpExchange",
     "DnsQuery", "DnsResponse", "InvalidName", "Malformed", "Rcode",
     "RecordType", "ResourceRecord", "decode_query", "decode_response",

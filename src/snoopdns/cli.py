@@ -231,10 +231,14 @@ def _scan_settings(args, config: dict, default_duration: float | None) -> tuple:
     if probe_interval is not None and not 0 < probe_interval < float("inf"):
         raise UsageError(f"--probe-interval must be finite and positive, "
                          f"got {probe_interval:g}")
+    return method, duration, window_fraction, probe_interval, _confirmations(args, config)
+
+
+def _confirmations(args, config: dict) -> int:
     confirmations = _setting(args, config, "confirmations", 5, int)
     if confirmations < 1:
         raise UsageError(f"--confirmations must be at least 1, got {confirmations}")
-    return method, duration, window_fraction, probe_interval, confirmations
+    return confirmations
 
 
 def _z_for(confidence: float) -> float:
@@ -256,7 +260,7 @@ def cmd_discover_ttl(args) -> int:
         raise UsageError("no resolver given; use --server")
     _require_authorization(server, _setting(args, config, "authorized", False, bool))
     domains = _gather_domains(args, config)
-    confirmations = _setting(args, config, "confirmations", 5, int)
+    confirmations = _confirmations(args, config)
     prober = _make_prober(args, config)
     with prober.transport:
         found, failed = scan.discover_all(prober, prober.clock, server, domains,
@@ -294,10 +298,13 @@ def _load_max_ttls(path: str) -> dict[str, int]:
         raise UsageError("--max-ttls file must map domains to TTL info")
     out: dict[str, int] = {}
     for domain, info in table.items():
-        if isinstance(info, dict) and "max_ttl" in info:
-            out[wire.validate_name(domain)] = int(info["max_ttl"])
-        elif isinstance(info, (int, float)):
-            out[wire.validate_name(domain)] = int(info)
+        ttl = info.get("max_ttl") if isinstance(info, dict) else info
+        # range first: int() of an infinite or NaN TTL would raise
+        if (isinstance(ttl, bool) or not isinstance(ttl, (int, float))
+                or not 1 <= ttl <= wire.MAX_TTL or ttl != int(ttl)):
+            raise UsageError(f"--max-ttls entry for {domain} must be a whole number "
+                             f"from 1 to {wire.MAX_TTL}, got {ttl!r}")
+        out[wire.validate_name(domain)] = int(ttl)
     if not out:
         raise UsageError("--max-ttls file holds no usable entries")
     return out
@@ -317,6 +324,15 @@ def cmd_snoop(args) -> int:
         raise UsageError("give a budget: --duration seconds or --cycles N")
     if cycles is not None and cycles < 1:
         raise UsageError(f"--cycles must be at least 1, got {cycles}")
+    max_ttls = None
+    if args.max_ttls:
+        max_ttls = _load_max_ttls(args.max_ttls)
+        missing = [d for d in domains if d not in max_ttls]
+        if missing:
+            raise UsageError(f"--max-ttls file lacks: {', '.join(missing)}")
+    zone = _setting(args, config, "calibration_domain", None)
+    if method == "timing" and not zone:
+        raise UsageError("timing method needs --calibration-domain")
     prober = _make_prober(args, config)
     clock = prober.clock
     with prober.transport:
@@ -329,12 +345,7 @@ def cmd_snoop(args) -> int:
                 print("error: no live domains to snoop", file=sys.stderr)
                 return 2
 
-        if args.max_ttls:
-            max_ttls = _load_max_ttls(args.max_ttls)
-            missing = [d for d in domains if d not in max_ttls]
-            if missing:
-                raise UsageError(f"--max-ttls file lacks: {', '.join(missing)}")
-        else:
+        if max_ttls is None:
             found, failed = scan.discover_all(prober, clock, server, domains,
                                               required_confirmations=confirmations)
             for domain, why in failed.items():
@@ -345,13 +356,9 @@ def cmd_snoop(args) -> int:
                 print("error: discovery failed for every domain", file=sys.stderr)
                 return 2
 
-        calibrations = None
+        calibration = None
         if method == "timing":
-            zone = _setting(args, config, "calibration_domain", None)
-            if not zone:
-                raise UsageError("timing method needs --calibration-domain")
             calibration = engine.calibrate_timing(prober, server, zone)
-            calibrations = {d: calibration for d in domains}
 
         scan_id = args.scan_id or f"scan-{int(time.time()):x}-{os.getpid():x}"
         out, close = _open_out(args.out)
@@ -360,7 +367,7 @@ def cmd_snoop(args) -> int:
             result = scan.run_scan(prober, clock, server, domains, max_ttls=max_ttls,
                                    method=method, window_fraction=window_fraction,
                                    probe_interval=probe_interval, duration=duration,
-                                   max_cycles=cycles, calibrations=calibrations,
+                                   max_cycles=cycles, calibration=calibration,
                                    writer=writer)
         finally:
             if close:
@@ -391,6 +398,12 @@ def cmd_report(args) -> int:
         corrupt += log.corrupt_lines
         invalidated.update(e["domain"] for e in log.errors
                            if e.get("error_kind") in engine.INVALIDATING_KINDS)
+    pairs = sorted({(o.server, o.method) for o in observations})
+    if len(pairs) > 1:
+        # one domain's rate from two servers or two methods is no one rate
+        named = ", ".join(f"{server} {method}" for server, method in pairs)
+        raise UsageError(f"the logs mix {len(pairs)} (server, method) pairs: {named}; "
+                         f"report each pair's logs on their own")
     if corrupt:
         print(f"skipped {corrupt} corrupt lines", file=sys.stderr)
     if invalidated:

@@ -131,29 +131,33 @@ def _append(out: DomainList, seen: set[str], name: str, rank: int | None) -> Non
     out.entries.append(DomainEntry(domain=canonical, rank=rank))
 
 
+# a domain is dead only after failing this many resolution rounds,
+# spaced at least this many seconds apart
+LIVENESS_ROUNDS = 3
+LIVENESS_SPACING = 60.0
+
+
 def liveness_filter(prober: Prober, clock: Clock, server: str,
-                    domains: Iterable[str], attempts: int = 3,
-                    spacing: float = 60.0) -> tuple[list[str], list[str]]:
+                    domains: Iterable[str]) -> tuple[list[str], list[str]]:
     """Split domains into (live, dead) by repeated resolution attempts.
 
-    A domain is dead only after failing every one of `attempts` rounds,
-    spaced at least `spacing` seconds apart, so a transient upstream
-    failure does not drop it. If every probe times out before the server
-    has answered anything at all, the server itself is unreachable and
-    ResolverUnreachable is raised; once it has replied even once, later
-    timeouts are charged to the domains, not the server.
+    A domain is dead only after failing every one of LIVENESS_ROUNDS
+    rounds, spaced at least LIVENESS_SPACING seconds apart, so a
+    transient upstream failure does not drop it. If every probe times
+    out before the server has answered anything at all, the server
+    itself is unreachable and ResolverUnreachable is raised; once it has
+    replied even once, later timeouts are charged to the domains, not
+    the server.
     """
-    if attempts < 1:
-        raise ValueError("attempts must be at least 1")
     pending = list(dict.fromkeys(domains))
     live: list[str] = []
     order = {d: i for i, d in enumerate(pending)}
     server_answered = False
-    for attempt in range(attempts):
+    for attempt in range(LIVENESS_ROUNDS):
         if not pending:
             break
         if attempt > 0:
-            clock.sleep(spacing)
+            clock.sleep(LIVENESS_SPACING)
         still: list[str] = []
         timeouts = 0
         for domain in pending:

@@ -26,6 +26,12 @@ discovery on it, and discover_max_ttl drives a single machine on it.
 Each check of that invariant has one home: _exceeds_max,
 _checkpoint_fits, _check_countdown, _window, and the _adopt_max and
 _observe methods that every probing machine inherits.
+
+The operational constants are module constants, not parameters, each
+defined with its reason: POST_EXPIRY_EPSILON, SNAP_GRID,
+SNAP_TOLERANCE, DEDUP_EPSILON, CHECKPOINT_MARGIN, CHECKPOINT_EVERY,
+DISCOVERY_ROUND_FACTOR, TIMEOUT_BACKOFF, NOANSWER_BACKOFF,
+FAILURE_LIMIT, CALIBRATION_SAMPLES, QUALITY_FLOOR and GUARD_FRACTION.
 """
 
 import heapq
@@ -77,38 +83,28 @@ class DiscoveryBudgetExceeded(SnoopError):
     """No candidate TTL reached the confirmation count within the round cap."""
 
 
-@dataclass(frozen=True)
-class Tuning:
-    """Fixed operational constants for probing.
-
-    post_expiry_epsilon  wait this long past a computed expiry before
-                         re-querying, absorbing 1 s TTL granularity.
-    snap_grid            candidate maxima sitting within snap_tolerance
-                         below a multiple of these values (checked in
-                         order) are snapped up: real-world maxima are
-                         overwhelmingly multiples of 60, else 15 or 20.
-    dedup_epsilon        rd0 refresh instants within this of the last
-                         one are the same refresh, not a new event.
-    checkpoint_margin    discovery and periodic snooping checks probe
-                         this many seconds before expiry to catch TTLs
-                         that move upward early.
-    checkpoint_every     insert such a pre-expiry check every N snoop
-                         cycles (0 disables; cycle 0 always checks).
-    """
-
-    post_expiry_epsilon: float = 1.0
-    snap_grid: tuple[int, ...] = (60, 15, 20)
-    snap_tolerance: float = 2.0
-    dedup_epsilon: float = 2.0
-    checkpoint_margin: float = 2.0
-    checkpoint_every: int = 16
-    discovery_round_factor: int = 8
-    timeout_backoff: float = 5.0
-    noanswer_backoff: float = 30.0
-    failure_limit: int = 3
-
-
-DEFAULT_TUNING = Tuning()
+# wait this long past a computed expiry before re-querying, absorbing
+# 1 s TTL granularity
+POST_EXPIRY_EPSILON = 1.0
+# candidate maxima sitting within SNAP_TOLERANCE below a multiple of
+# these values (checked in order) are snapped up: real-world maxima are
+# overwhelmingly multiples of 60, else 15 or 20
+SNAP_GRID = (60, 15, 20)
+SNAP_TOLERANCE = 2.0  # also a checkpoint read's slack against the countdown
+# rd0 refresh instants within this of the last one are the same
+# refresh, not a new event
+DEDUP_EPSILON = 2.0
+# discovery and periodic snooping checks probe this many seconds before
+# expiry to catch TTLs that move upward early
+CHECKPOINT_MARGIN = 2.0
+CHECKPOINT_EVERY = 16  # snoop cycles per such check; cycle 0 always checks
+DISCOVERY_ROUND_FACTOR = 8  # discovery rounds allowed per required confirmation
+TIMEOUT_BACKOFF = 5.0  # ttl_recursive/timing: seconds to the next probe after a timeout
+NOANSWER_BACKOFF = 30.0  # ... and after a ttl_recursive read with no usable answer
+FAILURE_LIMIT = 3  # timeouts, unusable answers or stuck TTLs in a row end a domain
+CALIBRATION_SAMPLES = 40  # timing calibration samples per class, cached and miss
+QUALITY_FLOOR = 0.95  # share of them the threshold must put on the right side
+GUARD_FRACTION = 0.25  # classify_timing's abstain band, a share of the median gap
 
 METHODS = ("rd0", "ttl_recursive", "timing")
 
@@ -129,20 +125,19 @@ def _exceeds_max(ttl: float, max_ttl: float) -> bool:
     return ttl > max_ttl + ttl_grace(max_ttl)
 
 
-def snap_to_grid(reading: int, grid: tuple[int, ...] = DEFAULT_TUNING.snap_grid,
-                 tolerance: float = DEFAULT_TUNING.snap_tolerance) -> tuple[int, bool]:
+def snap_to_grid(reading: int) -> tuple[int, bool]:
     """Snap a candidate maximum TTL up to the nearest round multiple.
 
-    Returns (value, snapped). A reading already on a grid is returned
-    unchanged with snapped=False; one within tolerance below a multiple
-    snaps up with snapped=True; anything else passes through.
+    Returns (value, snapped). A reading already on SNAP_GRID is returned
+    unchanged with snapped=False; one within SNAP_TOLERANCE below a
+    multiple snaps up with snapped=True; anything else passes through.
     """
-    for g in grid:
+    for g in SNAP_GRID:
         above = ((reading + g - 1) // g) * g
         gap = above - reading
         if gap == 0:
             return reading, False
-        if 0 < gap <= tolerance:
+        if 0 < gap <= SNAP_TOLERANCE:
             return above, True
     return reading, False
 
@@ -300,21 +295,22 @@ def check_rd_behavior(prober: Prober, server: str, canary_domains: list[str]) ->
     return RdBehavior(server=server, honors_rd0=honors, evidence=evidence)
 
 
-def _check_countdown(last_ttl: int, last_at: float, ttl: int, at: float,
-                     tolerance: float) -> tuple[str, str] | None:
+def _check_countdown(last_ttl: int, last_at: float, ttl: int,
+                     at: float) -> tuple[str, str] | None:
     """Judge a pre-expiry checkpoint read against the countdown.
 
     last_ttl was read at last_at; an honest cache answers at `at` with
     about last_ttl - (at - last_at). Returns None when the read fits
-    the countdown, else (kind, message): "checkpoint_late" when the read
-    was sent less than a second before the expiry it guards, or after
-    it, so the record may have been re-fetched; "non_monotonic_ttl"
-    when the TTL has not moved across at least 2 s; "server_prefetches"
-    when it jumped upward ahead of expiry.
+    the countdown within SNAP_TOLERANCE, else (kind, message):
+    "checkpoint_late" when the read was sent less than a second before
+    the expiry it guards, or after it, so the record may have been
+    re-fetched; "non_monotonic_ttl" when the TTL has not moved across
+    at least 2 s; "server_prefetches" when it jumped upward ahead of
+    expiry.
     """
     elapsed = at - last_at
     expected = last_ttl - elapsed
-    if ttl <= expected + tolerance:
+    if ttl <= expected + SNAP_TOLERANCE:
         return None
     if expected < 1.0:
         return ("checkpoint_late",
@@ -325,10 +321,10 @@ def _check_countdown(last_ttl: int, last_at: float, ttl: int, at: float,
             f"TTL jumped to {ttl} with ~{max(expected, 0):.0f}s left before expiry")
 
 
-def _checkpoint_fits(ttl: int, tuning: Tuning) -> bool:
+def _checkpoint_fits(ttl: int) -> bool:
     """Whether a record read with ttl seconds left has room for a
     checkpoint probe before the read just past its expiry."""
-    return ttl > tuning.checkpoint_margin + tuning.post_expiry_epsilon + 1.0
+    return ttl > CHECKPOINT_MARGIN + POST_EXPIRY_EPSILON + 1.0
 
 
 class DiscoveryMachine:
@@ -338,7 +334,7 @@ class DiscoveryMachine:
     the expired record is re-fetched, so the new answer shows the full
     maximum. Candidates are grid-snapped and the same value must be
     seen required_confirmations times within
-    required_confirmations * discovery_round_factor rounds. A
+    required_confirmations * DISCOVERY_ROUND_FACTOR rounds. A
     checkpoint probe shortly before each expiry guards the countdown
     (see _check_countdown). When done, `estimate` holds the result or
     `error` the failure: a SnoopError, or the ProbeTimeout of a probe
@@ -346,14 +342,13 @@ class DiscoveryMachine:
     """
 
     def __init__(self, prober: Prober, server: str, domain: str,
-                 required_confirmations: int = 5, tuning: Tuning = DEFAULT_TUNING):
+                 required_confirmations: int = 5):
         if required_confirmations < 1:
             raise ValueError("required_confirmations must be at least 1")
         self.prober = prober
         self.server = server
         self.domain = domain
         self.required = required_confirmations
-        self.tuning = tuning
         self.done = False
         self.estimate: MaxTtlEstimate | None = None
         self.error: Exception | None = None
@@ -374,7 +369,6 @@ class DiscoveryMachine:
             return None, []
 
     def _step(self) -> float | None:
-        tuning = self.tuning
         reply = self.prober.probe(self.server, self.domain, recursion_desired=True)
         ttl = _answer_ttl(reply, self.domain)
         if ttl is None:
@@ -384,11 +378,10 @@ class DiscoveryMachine:
             raise UnresolvableDomain(f"{self.domain} stopped resolving during discovery")
 
         if self._mode == "checkpoint":
-            verdict = _check_countdown(self._last_ttl, self._last_at, ttl, reply.sent_at,
-                                       tuning.snap_tolerance)
+            verdict = _check_countdown(self._last_ttl, self._last_at, ttl, reply.sent_at)
             if verdict is None:
                 self._mode = "rollover"
-                return reply.sent_at + ttl + tuning.post_expiry_epsilon
+                return reply.sent_at + ttl + POST_EXPIRY_EPSILON
             kind, message = verdict
             if kind != "checkpoint_late":
                 raise _ERROR_TYPES[kind](f"{self.domain}: {message}")
@@ -397,7 +390,7 @@ class DiscoveryMachine:
             self._mode = "rollover"
 
         if self._mode == "rollover":
-            value, snapped = snap_to_grid(ttl, tuning.snap_grid, tuning.snap_tolerance)
+            value, snapped = snap_to_grid(ttl)
             self._counts[value] = self._counts.get(value, 0) + 1
             self._snapped[value] = self._snapped.get(value, False) or snapped
             if self._counts[value] >= self.required:
@@ -408,7 +401,7 @@ class DiscoveryMachine:
                 self.done = True
                 return None
 
-        max_rounds = self.required * tuning.discovery_round_factor
+        max_rounds = self.required * DISCOVERY_ROUND_FACTOR
         if sum(self._counts.values()) >= max_rounds:
             raise DiscoveryBudgetExceeded(
                 f"{self.domain}: no TTL confirmed {self.required} times within "
@@ -416,16 +409,15 @@ class DiscoveryMachine:
         # next round: a checkpoint shortly before expiry unless the TTL is
         # too short for one, then the roll-over read just past it
         self._last_ttl, self._last_at = ttl, reply.sent_at
-        if _checkpoint_fits(ttl, tuning):
+        if _checkpoint_fits(ttl):
             self._mode = "checkpoint"
-            return reply.sent_at + ttl - tuning.checkpoint_margin
+            return reply.sent_at + ttl - CHECKPOINT_MARGIN
         self._mode = "rollover"
-        return reply.sent_at + ttl + tuning.post_expiry_epsilon
+        return reply.sent_at + ttl + POST_EXPIRY_EPSILON
 
 
 def discover_max_ttl(prober: Prober, clock: Clock, server: str, domain: str,
-                     required_confirmations: int = 5,
-                     tuning: Tuning = DEFAULT_TUNING) -> MaxTtlEstimate:
+                     required_confirmations: int = 5) -> MaxTtlEstimate:
     """Find one domain's maximum TTL on a server, sleeping between probes.
 
     Drives a single DiscoveryMachine to its end. A TTL that jumps upward
@@ -435,60 +427,57 @@ def discover_max_ttl(prober: Prober, clock: Clock, server: str, domain: str,
     ProbeTimeout. scan.discover_all runs many domains at once.
     """
     machine = DiscoveryMachine(prober, server, domain,
-                               required_confirmations=required_confirmations,
-                               tuning=tuning)
+                               required_confirmations=required_confirmations)
     _run_machines(clock, [machine], clock.now())
     if machine.error is not None:
         raise machine.error
     return machine.estimate
 
 
-def calibrate_timing(prober: Prober, server: str, calibration_domain: str,
-                     samples: int = 40, quality_floor: float = 0.95) -> TimingCalibration:
+def calibrate_timing(prober: Prober, server: str,
+                     calibration_domain: str) -> TimingCalibration:
     """Measure cached-vs-miss response times and fit a threshold.
 
-    Cached samples repeat-query one name inside its TTL; miss samples
-    query unique subdomains under the calibration domain, each of which
-    forces recursion. The threshold is the midpoint of the two medians;
-    separation_quality is the fraction of samples falling on the correct
-    side. Below quality_floor the server's jitter swamps the recursion
-    cost and InsufficientSeparation is raised.
+    CALIBRATION_SAMPLES cached samples repeat-query one name inside its
+    TTL; as many miss samples query unique subdomains under the
+    calibration domain, each of which forces recursion. The threshold is
+    the midpoint of the two medians; separation_quality is the fraction
+    of samples falling on the correct side. Below QUALITY_FLOOR the
+    server's jitter swamps the recursion cost and InsufficientSeparation
+    is raised.
     """
-    if samples < 20:
-        raise ValueError(f"at least 20 samples per class are required, got {samples}")
     zone = wire.validate_name(calibration_domain)
     prober.probe(server, zone, recursion_desired=True)  # prime the cache
     cached = [prober.probe(server, zone, recursion_desired=True).rtt_ms
-              for _ in range(samples)]
+              for _ in range(CALIBRATION_SAMPLES)]
     nonce = prober.rng.randrange(1 << 24)
     miss = [prober.probe(server, f"cal-{nonce:x}-{i}.{zone}", recursion_desired=True).rtt_ms
-            for i in range(samples)]
+            for i in range(CALIBRATION_SAMPLES)]
     cached_median = statistics.median(cached)
     miss_median = statistics.median(miss)
     threshold = (cached_median + miss_median) / 2.0
     correct = (sum(1 for r in cached if r < threshold)
                + sum(1 for r in miss if r > threshold))
-    quality = correct / (2 * samples)
+    quality = correct / (2 * CALIBRATION_SAMPLES)
     calibration = TimingCalibration(
         server=server, domain=zone, cached_rtts=cached, miss_rtts=miss,
         cached_median=cached_median, miss_median=miss_median,
         threshold_ms=threshold, separation_quality=quality)
-    if quality < quality_floor:
+    if quality < QUALITY_FLOOR:
         raise InsufficientSeparation(
             f"{server}: cached/miss RTTs overlap, separation quality "
-            f"{quality:.3f} below {quality_floor}", calibration=calibration)
+            f"{quality:.3f} below {QUALITY_FLOOR}", calibration=calibration)
     return calibration
 
 
-def classify_timing(rtt_ms: float, calibration: TimingCalibration,
-                    guard_fraction: float = 0.25) -> str:
+def classify_timing(rtt_ms: float, calibration: TimingCalibration) -> str:
     """Classify one response time as cached, miss, or abstain.
 
-    A guard band of guard_fraction times the median gap sits around the
+    A guard band of GUARD_FRACTION times the median gap sits around the
     threshold; RTTs inside it are too ambiguous to call.
     """
     gap = abs(calibration.miss_median - calibration.cached_median)
-    band = guard_fraction * gap
+    band = GUARD_FRACTION * gap
     if rtt_ms < calibration.threshold_ms - band:
         return "cached"
     if rtt_ms > calibration.threshold_ms + band:
@@ -509,20 +498,18 @@ def _window(window: float | None, max_ttl: int) -> float:
 class _ProbingMachine:
     """What the three probing machines share: the domain they probe, the
     completed-cycle count that max_cycles budgets read, and the run of
-    timeouts that ends the domain at failure_limit in a row. _adopt_max
+    timeouts that ends the domain at FAILURE_LIMIT in a row. _adopt_max
     is the one place a stale maximum is adopted, _observe the one place
     a completed cycle is recorded. step returns (next wake, items), the
     wake None exactly when the machine is done."""
 
     method: str
 
-    def __init__(self, prober: Prober, server: str, domain: str, max_ttl: int,
-                 tuning: Tuning):
+    def __init__(self, prober: Prober, server: str, domain: str, max_ttl: int):
         self.prober = prober
         self.server = server
         self.domain = domain
         self.max_ttl = max_ttl
-        self.tuning = tuning
         self.cycles_completed = 0
         self.done = False
         self._timeouts = 0
@@ -546,7 +533,7 @@ class _ProbingMachine:
             return False
         items.append(self._error(at, "ttl_exceeds_max",
                                  f"read {ttl} above believed max {self.max_ttl}"))
-        self.max_ttl = snap_to_grid(ttl, self.tuning.snap_grid, self.tuning.snap_tolerance)[0]
+        self.max_ttl = snap_to_grid(ttl)[0]
         return True
 
     def _probe(self, items: list, recursion_desired: bool = True,
@@ -563,7 +550,7 @@ class _ProbingMachine:
             self._timeouts += 1
             at = self.prober.clock.now() if stamp is None else stamp
             items.append(self._error(at, "timeout", str(exc)))
-            if self._timeouts >= self.tuning.failure_limit:
+            if self._timeouts >= FAILURE_LIMIT:
                 self.done = True
             return None
         self._timeouts = 0
@@ -577,16 +564,16 @@ class TtlRecursiveMachine(_ProbingMachine):
     expiry instant: the post-window probe reads T' and classifies the
     cycle (see classify_window_read). That same answer's TTL fixes the
     next expiry, so steady-state cycles cost one query. Cycle 0 and
-    every checkpoint_every-th cycle insert a pre-expiry checkpoint probe
+    every CHECKPOINT_EVERY-th cycle insert a pre-expiry checkpoint probe
     that detects servers refreshing ahead of expiry.
     """
 
     method = "ttl_recursive"
 
     def __init__(self, prober: Prober, server: str, domain: str, max_ttl: int,
-                 window: float | None, tuning: Tuning = DEFAULT_TUNING):
+                 window: float | None):
         window = _window(window, max_ttl)
-        super().__init__(prober, server, domain, max_ttl, tuning)
+        super().__init__(prober, server, domain, max_ttl)
         self.window = window
         self._mode = "init"
         self._expiry = 0.0
@@ -609,7 +596,7 @@ class TtlRecursiveMachine(_ProbingMachine):
             self._failures += 1
             items.append(self._error(reply.sent_at, "unresolvable",
                                      f"no usable answer (rcode {reply.response.rcode})"))
-            if self._failures >= self.tuning.failure_limit:
+            if self._failures >= FAILURE_LIMIT:
                 self.done = True
             self._mode = "init"
             return None
@@ -620,11 +607,9 @@ class TtlRecursiveMachine(_ProbingMachine):
         """Fix the next expiry from this read and pick the next probe."""
         self._expiry = sent_at + ttl
         self._last_read = ttl
-        every = self.tuning.checkpoint_every
-        if (every > 0 and self.cycles_completed % every == 0
-                and _checkpoint_fits(ttl, self.tuning)):
+        if self.cycles_completed % CHECKPOINT_EVERY == 0 and _checkpoint_fits(ttl):
             self._mode = "checkpoint"
-            return self._expiry - self.tuning.checkpoint_margin
+            return self._expiry - CHECKPOINT_MARGIN
         self._mode = "window"
         return self._expiry + self.window
 
@@ -632,8 +617,7 @@ class TtlRecursiveMachine(_ProbingMachine):
         """The wake after a failed read, or None once failures ended the domain."""
         if self.done:
             return None
-        return now + (self.tuning.timeout_backoff if self._timeouts
-                      else self.tuning.noanswer_backoff)
+        return now + (TIMEOUT_BACKOFF if self._timeouts else NOANSWER_BACKOFF)
 
     def step(self, now: float) -> tuple[float | None, list]:
         items: list = []
@@ -650,7 +634,7 @@ class TtlRecursiveMachine(_ProbingMachine):
 
         if self._mode == "checkpoint":
             verdict = _check_countdown(self._last_read, self._expiry - self._last_read,
-                                      ttl, reply.sent_at, self.tuning.snap_tolerance)
+                                      ttl, reply.sent_at)
             if verdict is None:
                 self._static_runs = 0
                 self._mode = "window"
@@ -666,7 +650,7 @@ class TtlRecursiveMachine(_ProbingMachine):
                 return None, items
             self._mode = "init"
             self._static_runs += 1
-            if self._static_runs >= self.tuning.failure_limit:
+            if self._static_runs >= FAILURE_LIMIT:
                 self.done = True
             return self._backoff(now), items
 
@@ -716,14 +700,14 @@ class Rd0Machine(_ProbingMachine):
     method = "rd0"
 
     def __init__(self, prober: Prober, server: str, domain: str, max_ttl: int,
-                 probe_interval: float | None = None, tuning: Tuning = DEFAULT_TUNING):
+                 probe_interval: float | None = None):
         if probe_interval is None:
             probe_interval = max_ttl / 2.0
         if not 0 < probe_interval <= max_ttl:
             raise ValueError(
                 f"probe_interval must be in (0, max_ttl] so no refresh is missed, "
                 f"got {probe_interval} for {max_ttl}")
-        super().__init__(prober, server, domain, max_ttl, tuning)
+        super().__init__(prober, server, domain, max_ttl)
         self.interval = probe_interval
         self._last_probe: float | None = None
         self._last_refresh: float | None = None
@@ -742,7 +726,6 @@ class Rd0Machine(_ProbingMachine):
         span = None if self._last_probe is None else sent - self._last_probe
         delay = None  # stays None when the span is censored
 
-        eps = self.tuning.dedup_epsilon
         if ttl is not None and self._adopt_max(items, sent, ttl):
             # the old refresh inference no longer means anything, so
             # neither does the span it would date
@@ -758,7 +741,7 @@ class Rd0Machine(_ProbingMachine):
         else:
             refresh_time = min(sent - (self.max_ttl - ttl), sent)
             duplicate = (self._last_refresh is not None
-                         and abs(refresh_time - self._last_refresh) <= eps)
+                         and abs(refresh_time - self._last_refresh) <= DEDUP_EPSILON)
             if not duplicate:
                 if ttl >= self.max_ttl:
                     # full TTL: fetched at this very probe, either by an
@@ -813,10 +796,9 @@ class TimingMachine(_ProbingMachine):
     method = "timing"
 
     def __init__(self, prober: Prober, server: str, domain: str, max_ttl: int,
-                 window: float | None, calibration: TimingCalibration,
-                 tuning: Tuning = DEFAULT_TUNING):
+                 window: float | None, calibration: TimingCalibration):
         window = _window(window, max_ttl)
-        super().__init__(prober, server, domain, max_ttl, tuning)
+        super().__init__(prober, server, domain, max_ttl)
         self.window = window
         self.calibration = calibration
         self._expiry_bound: float | None = None
@@ -828,7 +810,7 @@ class TimingMachine(_ProbingMachine):
         reply = self._probe(items, stamp=now)
         if reply is None:
             self._expiry_bound = None
-            return (None if self.done else now + self.tuning.timeout_backoff), items
+            return (None if self.done else now + TIMEOUT_BACKOFF), items
         sent = reply.sent_at
 
         if self._expiry_bound is None:
@@ -851,18 +833,15 @@ class TimingMachine(_ProbingMachine):
 def build_machine(method: str, prober: Prober, server: str, domain: str, *,
                   max_ttl: int, window: float | None = None,
                   probe_interval: float | None = None,
-                  calibration: TimingCalibration | None = None,
-                  tuning: Tuning = DEFAULT_TUNING):
+                  calibration: TimingCalibration | None = None):
     if method == "ttl_recursive":
-        return TtlRecursiveMachine(prober, server, domain, max_ttl, window, tuning=tuning)
+        return TtlRecursiveMachine(prober, server, domain, max_ttl, window)
     if method == "rd0":
-        return Rd0Machine(prober, server, domain, max_ttl,
-                          probe_interval=probe_interval, tuning=tuning)
+        return Rd0Machine(prober, server, domain, max_ttl, probe_interval=probe_interval)
     if method == "timing":
         if calibration is None:
             raise ValueError("timing method requires a calibration")
-        return TimingMachine(prober, server, domain, max_ttl, window, calibration,
-                             tuning=tuning)
+        return TimingMachine(prober, server, domain, max_ttl, window, calibration)
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 

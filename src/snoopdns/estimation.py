@@ -19,7 +19,7 @@ with the usual sqrt(lambda / o) standard error.
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
 from .engine import RefreshObservation
@@ -39,7 +39,6 @@ class DomainStats:
     cycles: int = 0
     censored: int = 0
     malformed: int = 0
-    methods: set[str] = field(default_factory=set)
 
     def add(self, observation: RefreshObservation) -> None:
         try:
@@ -48,7 +47,6 @@ class DomainStats:
             self.malformed += 1
             return
         self.cycles += 1
-        self.methods.add(observation.method)
         if observation.method == "rd0":
             # passive watch: the whole span is exposure either way
             self.observed_seconds += observation.window_length

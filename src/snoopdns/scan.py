@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 from .clock import Clock, VirtualClock
 from .corpus import ObservationWriter
-from .engine import (DEFAULT_TUNING, INVALIDATING_KINDS, CycleError,
-                     DiscoveryMachine, MaxTtlEstimate, RefreshObservation,
-                     TimingCalibration, Tuning, _run_machines, build_machine)
+from .engine import (INVALIDATING_KINDS, CycleError, DiscoveryMachine,
+                     MaxTtlEstimate, RefreshObservation, TimingCalibration,
+                     _run_machines, build_machine)
 from .estimation import (ArrivalEstimate, DomainStats, aggregate, estimate,
                          rank_domains, spearman_rho)
 from .simnet import Sim, SimConfig, SimExchange, build_sim, config_from_dict
@@ -38,7 +38,7 @@ class ScanResult:
 
 
 def discover_all(prober: Prober, clock: Clock, server: str, domains: list[str],
-                 required_confirmations: int = 5, tuning: Tuning = DEFAULT_TUNING,
+                 required_confirmations: int = 5,
                  ) -> tuple[dict[str, MaxTtlEstimate], dict[str, str]]:
     """Discover the maximum TTL of every domain at once.
 
@@ -52,8 +52,7 @@ def discover_all(prober: Prober, clock: Clock, server: str, domains: list[str],
     roll-over read, so no other domain fails for it.
     """
     machines = [DiscoveryMachine(prober, server, domain,
-                                 required_confirmations=required_confirmations,
-                                 tuning=tuning)
+                                 required_confirmations=required_confirmations)
                 for domain in domains]
     _run_machines(clock, machines, clock.now())
     found: dict[str, MaxTtlEstimate] = {}
@@ -69,13 +68,15 @@ def discover_all(prober: Prober, clock: Clock, server: str, domains: list[str],
 def run_scan(prober: Prober, clock: Clock, server: str, domains: list[str], *,
              max_ttls: dict[str, int], method: str = "ttl_recursive",
              window_fraction: float = 1.0, probe_interval: float | None = None,
-             calibrations: dict[str, TimingCalibration] | None = None,
+             calibration: TimingCalibration | None = None,
              duration: float | None = None, max_cycles: int | None = None,
-             writer: ObservationWriter | None = None,
-             tuning: Tuning = DEFAULT_TUNING) -> ScanResult:
+             writer: ObservationWriter | None = None) -> ScanResult:
     """Interleave probing machines for many domains on one clock.
 
-    Every domain needs an entry in max_ttls. The duration budget bounds
+    Every domain needs an entry in max_ttls; the timing method needs the
+    server's calibration. An rd0 domain whose maximum TTL is below
+    probe_interval is aborted before any probe, since its refreshes
+    could fall between probes unseen. The duration budget bounds
     probe scheduling: a machine whose next wake lands past the deadline
     is retired, so the last partial cycle is dropped rather than probed
     late, and a non-positive duration probes nothing. max_cycles bounds
@@ -96,10 +97,14 @@ def run_scan(prober: Prober, clock: Clock, server: str, domains: list[str], *,
     machines = []
     for domain in domains:
         ttl = int(max_ttls[domain])
+        if method == "rd0" and probe_interval is not None and probe_interval > ttl:
+            result.aborted[domain] = (f"probe interval {probe_interval:g}s exceeds the "
+                                      f"maximum TTL {ttl}s, so refreshes could go unseen")
+            continue
         machines.append(build_machine(
             method, prober, server, domain, max_ttl=ttl,
             window=window_fraction * ttl, probe_interval=probe_interval,
-            calibration=(calibrations or {}).get(domain), tuning=tuning))
+            calibration=calibration))
 
     def emit(items: list) -> None:
         for item in items:
@@ -154,19 +159,19 @@ class BatchResult:
 
 
 def run_batch(config: SimConfig | dict, *, duration: float,
-              method: str = "ttl_recursive", domains: list[str] | None = None,
-              window_fraction: float = 1.0, probe_interval: float | None = None,
-              required_confirmations: int = 5, rate_qps: float | None = None,
-              writer: ObservationWriter | None = None,
-              tuning: Tuning = DEFAULT_TUNING) -> BatchResult:
+              method: str = "ttl_recursive", window_fraction: float = 1.0,
+              probe_interval: float | None = None, required_confirmations: int = 5,
+              rate_qps: float | None = None,
+              writer: ObservationWriter | None = None) -> BatchResult:
     """Scan a simulated resolver end to end on virtual time.
 
-    Discovers each domain's maximum TTL, snoops for the given duration,
-    estimates arrival rates, and scores them against the scenario's
-    ground truth: coverage is the fraction of estimated domains whose
-    confidence interval contains the true client rate, and
-    rank_correlation compares estimated against true orderings. Scoring
-    fields are None when the scenario has too few comparable domains.
+    Discovers the maximum TTL of each domain that has clients (of every
+    zone when none has), snoops for the given duration, estimates
+    arrival rates, and scores them against the scenario's ground truth:
+    coverage is the fraction of estimated domains whose confidence
+    interval contains the true client rate, and rank_correlation
+    compares estimated against true orderings. Scoring fields are None
+    when the scenario has too few comparable domains.
     """
     if isinstance(config, dict):
         config = config_from_dict(config)
@@ -180,18 +185,16 @@ def run_batch(config: SimConfig | dict, *, duration: float,
         prober.limiter = RateLimiter(rate_qps, clock)
     server = "sim"
 
-    if domains is None:
-        domains = sorted({c.domain for c in config.clients} or set(config.zones))
+    domains = sorted({c.domain for c in config.clients} or set(config.zones))
     discovery, discovery_failed = discover_all(
-        prober, clock, server, domains,
-        required_confirmations=required_confirmations, tuning=tuning)
+        prober, clock, server, domains, required_confirmations=required_confirmations)
     scannable = [d for d in domains if d in discovery]
     max_ttls = {d: discovery[d].max_ttl for d in scannable}
 
     scan = run_scan(prober, clock, server, scannable, max_ttls=max_ttls,
                     method=method, window_fraction=window_fraction,
                     probe_interval=probe_interval, duration=duration,
-                    writer=writer, tuning=tuning)
+                    writer=writer)
 
     estimates = rank_domains([estimate(s) for s in scan.stats().values()
                               if s.observed_seconds > 0])

@@ -615,10 +615,11 @@ class UdpSimServer:
         self.stop()
 
 
-def serve_udp(config: SimConfig | dict, host: str = "127.0.0.1", port: int = 0,
-              start_time: float | None = None) -> UdpSimServer:
-    """Build a simulator and start serving it over UDP; returns the server."""
+def serve_udp(config: SimConfig | dict, host: str = "127.0.0.1",
+              port: int = 0) -> UdpSimServer:
+    """Build a simulator that starts at the wall clock's now and start
+    serving it over UDP; returns the server."""
     if isinstance(config, dict):
         config = config_from_dict(config)
-    sim = Sim(config, start_time=_time.time() if start_time is None else start_time)
-    return UdpSimServer(sim).start()
+    sim = Sim(config, start_time=_time.time())
+    return UdpSimServer(sim, host, port).start()

@@ -35,7 +35,8 @@ BAD_SCAN_SETTINGS = [["--window-fraction", "2"], ["--method", "rd0", "--probe-in
                      ["--confirmations", "0"]]
 
 
-def observation_log(tmp_path, domains, per_domain=5, name="log.jsonl"):
+def observation_log(tmp_path, domains, per_domain=5, name="log.jsonl", server="sim",
+                    method="ttl_recursive"):
     path = tmp_path / name
     with open(path, "w", encoding="utf-8") as handle:
         writer = ObservationWriter(handle, "test-log")
@@ -48,7 +49,7 @@ def observation_log(tmp_path, domains, per_domain=5, name="log.jsonl"):
                     event = RefreshEvent(delay_after_expiry=10.0 * (rank + 1),
                                          inferred_refresh_time=start + 10.0)
                 writer.write(RefreshObservation(
-                    server="sim", domain=domain, method="ttl_recursive",
+                    server=server, domain=domain, method=method,
                     window_start=start, window_length=60.0, probe_rtt_ms=1.0,
                     censored=censored, event=event))
     return str(path)
@@ -110,6 +111,38 @@ class TestExitCodes:
         assert cli.main(["discover-ttl", "--server", f"127.0.0.1:{port}",
                          "--domains", "a.test"]) == 1
         assert "from 1 to 65535" in capsys.readouterr().err
+
+    def test_discover_ttl_rejects_zero_confirmations_before_any_probe(self, monkeypatch,
+                                                                      capsys):
+        monkeypatch.setattr(cli, "_make_prober", lambda *args: pytest.fail("probed"))
+        assert cli.main(["discover-ttl", "--server", "127.0.0.1", "--domains", "a.test",
+                         "--confirmations", "0"]) == 1
+        assert "error: --confirmations must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", [0, "x", 2**31, 60.5, None])
+    def test_a_max_ttls_entry_that_is_no_ttl_is_a_usage_error_before_any_probe(
+            self, entry, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "maxttls.json"
+        path.write_text(json.dumps({"max_ttls": {"a.test": {"max_ttl": entry}}}))
+        monkeypatch.setattr(cli, "_make_prober", lambda *args: pytest.fail("probed"))
+        assert cli.main(["snoop", "--server", "127.0.0.1", "--domains", "a.test",
+                         "--cycles", "1", "--max-ttls", str(path)]) == 1
+        assert ("error: --max-ttls entry for a.test must be a whole number from 1 to "
+                "2147483647") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--domains", "a.test,b.test"], "--max-ttls file lacks: b.test"),
+        (["--domains", "a.test", "--method", "timing"],
+         "timing method needs --calibration-domain"),
+    ])
+    def test_snoop_input_it_cannot_use_is_a_usage_error_before_any_probe(
+            self, flags, message, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "maxttls.json"
+        path.write_text(json.dumps({"a.test": 60}))
+        monkeypatch.setattr(cli, "_make_prober", lambda *args: pytest.fail("probed"))
+        assert cli.main(["snoop", "--server", "127.0.0.1", "--liveness", "--cycles", "1",
+                         "--max-ttls", str(path), *flags]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("setting", BAD_SCAN_SETTINGS)
     def test_snoop_rejects_a_bad_scan_setting_before_any_query(self, setting, capsys):
@@ -247,6 +280,15 @@ class TestSimulateCommand:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] != outputs[1]
 
+    def test_an_rd0_interval_above_the_max_ttl_aborts_the_domain(self, tmp_path,
+                                                                 capsys):
+        scenario = scenario_file(tmp_path, zones={
+            "alpha.test": {"address": "10.0.0.1", "ttl": 60}}, clients=[])
+        assert cli.main(["simulate", "--scenario", scenario, "--duration", "600",
+                         "--method", "rd0", "--probe-interval", "1000"]) == 0
+        assert ("aborted alpha.test: probe interval 1000s exceeds the maximum TTL 60s"
+                in capsys.readouterr().err)
+
     def test_out_appends_jsonl_records(self, tmp_path, capsys):
         log = tmp_path / "sim.jsonl"
         code = cli.main(["simulate", "--scenario", scenario_file(tmp_path),
@@ -282,6 +324,19 @@ class TestReportCommand:
         assert cli.main(["report", "--in", log1, "--in", log2]) == 0
         out = capsys.readouterr().out
         assert "busy.test" in out and "slow.test" in out
+
+    @pytest.mark.parametrize("server,method", [("sim", "rd0"),
+                                               ("other", "ttl_recursive")])
+    def test_logs_of_two_servers_or_methods_are_not_merged(self, tmp_path, capsys,
+                                                           server, method):
+        first = observation_log(tmp_path, ["busy.test"], name="a.jsonl")
+        second = observation_log(tmp_path, ["busy.test"], name="b.jsonl",
+                                 server=server, method=method)
+        assert cli.main(["report", "--in", first, "--in", second]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        pairs = sorted([("sim", "ttl_recursive"), (server, method)])
+        assert ", ".join(f"{s} {m}" for s, m in pairs) in captured.err
 
     def test_confidence_widens_the_interval(self, tmp_path, capsys):
         log = observation_log(tmp_path, ["busy.test"])

@@ -78,16 +78,14 @@ class TestLivenessFilter:
                   "timeout"]             # round 3: c alone, still silent
         prober, clock, _ = scripted(script)
         live, dead = liveness_filter(prober, clock, "sim",
-                                     ["a.test", "b.test", "c.test"],
-                                     attempts=3, spacing=60.0)
+                                     ["a.test", "b.test", "c.test"])
         assert live == ["a.test", "b.test"]
         assert dead == ["c.test"]
         assert clock.now() >= 120.0  # two waits between three rounds
 
     def test_rounds_are_spaced_apart(self, scripted):
         prober, clock, exchange = scripted([None, None, None])
-        liveness_filter(prober, clock, "sim", ["a.test"], attempts=3,
-                        spacing=60.0)
+        liveness_filter(prober, clock, "sim", ["a.test"])
         gaps = [b - a for a, b in zip(exchange.sent_at, exchange.sent_at[1:])]
         assert all(gap >= 60.0 for gap in gaps)
 
@@ -99,7 +97,7 @@ class TestLivenessFilter:
     def test_order_is_preserved(self, scripted):
         prober, clock, _ = scripted([60, 60, 60])
         live, dead = liveness_filter(prober, clock, "sim",
-                                     ["z.test", "m.test", "a.test"], attempts=1)
+                                     ["z.test", "m.test", "a.test"])
         assert live == ["z.test", "m.test", "a.test"]
         assert dead == []
 

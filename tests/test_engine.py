@@ -28,9 +28,6 @@ def sim_prober(config, seed_salt=0):
     return prober, clock, sim
 
 
-NO_CHECKPOINTS = engine.Tuning(checkpoint_every=0)
-
-
 def quiet_zone(ttl=300, **overrides):
     config = {"seed": 1,
               "zones": {"a.test": {"address": "10.0.0.1", "ttl": ttl}},
@@ -42,7 +39,7 @@ def quiet_zone(ttl=300, **overrides):
 def scan_a(prober, clock, method, max_ttl, calibration=None, **budget):
     """Scan a.test alone at a known maximum TTL, windows a whole max_ttl long."""
     return run_scan(prober, clock, "sim", ["a.test"], max_ttls={"a.test": max_ttl},
-                    method=method, calibrations={"a.test": calibration}, **budget)
+                    method=method, calibration=calibration, **budget)
 
 
 class TestTtlGrace:
@@ -231,12 +228,15 @@ class TestDiscoveryMachine:
 
 class TestRunCycleTtlRecursive:
     """One expiry-watch cycle, probe by probe: a read fixes the expiry,
-    and the read a window past it classifies the cycle."""
+    cycle 0's checkpoint 2 s before it checks the countdown, and the
+    read a window past it classifies the cycle."""
 
     def test_mid_window_refresh_yields_the_delay(self, scripted):
-        prober, clock, _ = scripted([300, 120])
+        prober, clock, _ = scripted([300, 2, 120])
         machine = TtlRecursiveMachine(prober, "sim", "a.test", max_ttl=300,
-                                      window=300.0, tuning=NO_CHECKPOINTS)
+                                      window=300.0)
+        assert machine.step(clock.now()) == (298.0, [])
+        clock.sleep_until(298.0)
         assert machine.step(clock.now()) == (600.0, [])
         clock.sleep_until(600.0)
         _, [observation] = machine.step(clock.now())
@@ -246,26 +246,29 @@ class TestRunCycleTtlRecursive:
         assert observation.event.inferred_refresh_time == pytest.approx(420.0)
 
     def test_untouched_window_is_censored(self, scripted):
-        prober, clock, _ = scripted([300, 299])
+        prober, clock, _ = scripted([300, 2, 299])
         machine = TtlRecursiveMachine(prober, "sim", "a.test", max_ttl=300,
-                                      window=300.0, tuning=NO_CHECKPOINTS)
+                                      window=300.0)
+        clock.sleep_until(machine.step(clock.now())[0])
         clock.sleep_until(machine.step(clock.now())[0])
         _, [observation] = machine.step(clock.now())
         assert observation.censored is True
         assert observation.event is None
 
     def test_read_above_max_raises(self, scripted):
-        prober, clock, _ = scripted([300, 320])
+        prober, clock, _ = scripted([300, 2, 320])
         machine = TtlRecursiveMachine(prober, "sim", "a.test", max_ttl=300,
-                                      window=300.0, tuning=NO_CHECKPOINTS)
+                                      window=300.0)
+        clock.sleep_until(machine.step(clock.now())[0])
         clock.sleep_until(machine.step(clock.now())[0])
         _, [error] = machine.step(clock.now())
         assert error.kind == "ttl_exceeds_max"
 
     def test_impossible_read_raises(self, scripted):
-        prober, clock, _ = scripted([300, 200])
+        prober, clock, _ = scripted([300, 2, 200])
         machine = TtlRecursiveMachine(prober, "sim", "a.test", max_ttl=300,
-                                      window=30.0, tuning=NO_CHECKPOINTS)
+                                      window=30.0)
+        clock.sleep_until(machine.step(clock.now())[0])
         clock.sleep_until(machine.step(clock.now())[0])
         _, [error] = machine.step(clock.now())
         assert error.kind == "inconsistent_ttl"
@@ -344,11 +347,11 @@ class TestSnoopDomainTtlRecursive:
         assert result.errors[-1].kind == "server_prefetches"
 
     def test_ttl_above_max_is_annotated_and_the_new_max_adopted(self, scripted):
-        # init 300; window read 330 exceeds; next cycle continues at max 330
-        script = [300, 330, 150]
+        # init 300, checkpoint; window read 330 exceeds; the next cycle
+        # continues at max 330, from its own checkpoint
+        script = [300, 2, 330, 2, 150]
         prober, clock, _ = scripted(script)
-        result = scan_a(prober, clock, "ttl_recursive", 300, max_cycles=1,
-                        tuning=NO_CHECKPOINTS)
+        result = scan_a(prober, clock, "ttl_recursive", 300, max_cycles=1)
         assert [e.kind for e in result.errors] == ["ttl_exceeds_max"]
         assert len(result.observations) == 1
         # window re-armed from the 330 read: expiry 600+330=930, probe at 1230
@@ -356,18 +359,16 @@ class TestSnoopDomainTtlRecursive:
         assert result.observations[0].event.delay_after_expiry == pytest.approx(120.0)
 
     def test_timeouts_are_annotated_and_survivable(self, scripted):
-        script = [60, "timeout", 60, 30]
+        script = [60, 2, "timeout", 60, 2, 30]
         prober, clock, _ = scripted(script)
-        result = scan_a(prober, clock, "ttl_recursive", 60, max_cycles=1,
-                        tuning=NO_CHECKPOINTS)
+        result = scan_a(prober, clock, "ttl_recursive", 60, max_cycles=1)
         assert [e.kind for e in result.errors] == ["timeout"]
         assert len(result.observations) == 1
         assert result.observations[0].event.delay_after_expiry == pytest.approx(30.0)
 
     def test_repeated_timeouts_end_the_domain(self, scripted):
-        prober, clock, _ = scripted([60, "timeout", "timeout", "timeout"])
-        result = scan_a(prober, clock, "ttl_recursive", 60, max_cycles=5,
-                        tuning=NO_CHECKPOINTS)
+        prober, clock, _ = scripted([60, 2, "timeout", "timeout", "timeout"])
+        result = scan_a(prober, clock, "ttl_recursive", 60, max_cycles=5)
         assert [e.kind for e in result.errors] == ["timeout"] * 3
 
     def test_static_server_mid_scan_annotates_then_gives_up(self, scripted):
@@ -541,10 +542,11 @@ class TestMaxTtlAdoption:
     adopts the grid-snapped reading and keeps probing from that read."""
 
     @pytest.mark.parametrize("site,script,wake", [
-        # the first read fixes expiry 119; the window is 60 s past it
-        ("ttl_recursive_init", [119], 119.0 + 60.0),
-        # the init read arms a window probe at 120; its read of 119 re-arms
-        ("ttl_recursive_window", [60, 119], 120.0 + 119.0 + 60.0),
+        # the first read fixes expiry 119; cycle 0's checkpoint is 2 s before it
+        ("ttl_recursive_init", [119], 119.0 - 2.0),
+        # the init read arms a checkpoint at 58 and a window probe at 120;
+        # its read of 119 re-arms cycle 0's checkpoint
+        ("ttl_recursive_window", [60, 2, 119], 120.0 + 119.0 - 2.0),
         ("rd0", [119], 30.0),
     ])
     def test_the_snapped_reading_becomes_the_max(self, scripted, site, script, wake):
@@ -553,10 +555,11 @@ class TestMaxTtlAdoption:
             machine = Rd0Machine(prober, "sim", "a.test", max_ttl=60, probe_interval=30.0)
         else:
             machine = TtlRecursiveMachine(prober, "sim", "a.test", max_ttl=60,
-                                          window=60.0, tuning=NO_CHECKPOINTS)
+                                          window=60.0)
         if site == "ttl_recursive_window":
-            assert machine.step(clock.now()) == (120.0, [])
-            clock.sleep_until(120.0)
+            for before in (58.0, 120.0):
+                assert machine.step(clock.now()) == (before, [])
+                clock.sleep_until(before)
         next_wake, items = machine.step(clock.now())
         assert [(i.kind, i.message) for i in items] == [
             ("ttl_exceeds_max", "read 119 above believed max 60")]
@@ -603,7 +606,7 @@ def make_calibration(cached=5.0, miss=55.0):
 class TestTimingCalibration:
     def test_well_separated_rtts_calibrate(self):
         prober, _, _ = sim_prober(quiet_zone(ttl=3600))
-        calibration = calibrate_timing(prober, "sim", "a.test", samples=25)
+        calibration = calibrate_timing(prober, "sim", "a.test")
         assert calibration.separation_quality >= 0.95
         assert calibration.cached_median < calibration.threshold_ms
         assert calibration.miss_median > calibration.threshold_ms
@@ -615,14 +618,9 @@ class TestTimingCalibration:
                                "recursion_jitter": 8.0}
         prober, _, _ = sim_prober(config)
         with pytest.raises(InsufficientSeparation) as info:
-            calibrate_timing(prober, "sim", "a.test", samples=30)
+            calibrate_timing(prober, "sim", "a.test")
         assert info.value.calibration is not None
         assert info.value.calibration.separation_quality < 0.95
-
-    def test_sample_floor_enforced(self):
-        prober, _, _ = sim_prober(quiet_zone())
-        with pytest.raises(ValueError):
-            calibrate_timing(prober, "sim", "a.test", samples=19)
 
     def test_classification_with_guard_band(self):
         calibration = make_calibration(cached=5.0, miss=55.0)
@@ -666,7 +664,7 @@ class TestTimingMachine:
         config["clients"] = [{"domain": "a.test",
                               "process": {"kind": "periodic", "interval": 20.0}}]
         prober, clock, _ = sim_prober(config)
-        calibration = calibrate_timing(prober, "sim", "a.test", samples=25)
+        calibration = calibrate_timing(prober, "sim", "a.test")
         observations = scan_a(prober, clock, "timing", 60, calibration,
                               max_cycles=6).observations
         events = [o for o in observations if not o.censored]

@@ -150,6 +150,20 @@ class TestRunScan:
         # whatever was observed there measured the server, not clients
         assert all(o.domain != "alpha.test" for o in result.observations)
 
+    def test_an_rd0_interval_above_a_max_ttl_aborts_only_that_domain(self):
+        config = two_zone_config()
+        config["zones"]["beta.test"]["ttl"] = 300
+        prober, clock, sim = sim_prober(config)
+        result = run_scan(prober, clock, "sim", ["alpha.test", "beta.test"],
+                          max_ttls={"alpha.test": 60, "beta.test": 300}, method="rd0",
+                          probe_interval=100, duration=1200)
+        assert result.aborted == {"alpha.test": "probe interval 100s exceeds the "
+                                                "maximum TTL 60s, so refreshes could "
+                                                "go unseen"}
+        assert {e.domain for e in sim.log if e.kind == "probe_query"} == {"beta.test"}
+        assert len(result.observations) == 12
+        assert {o.domain for o in result.observations} == {"beta.test"}
+
     def test_writer_receives_every_item(self):
         prober, clock, _ = sim_prober(two_zone_config())
         out = io.StringIO()
@@ -400,14 +414,13 @@ def test_method_log_bytes_are_pinned(method):
                                                "lost.example", answered=3),
                     clock=clock, rng=random.Random(23))
     domains = ["a.example", "b.example", "lost.example"]
-    calibrations = None
+    calibration = None
     if method == "timing":
         calibration = calibrate_timing(prober, "sim", "cal.example")
-        calibrations = {d: calibration for d in domains}
     out = io.StringIO()
     run_scan(prober, clock, "sim", domains, method=method,
              max_ttls={d: zones[d]["ttl"] for d in domains},
-             calibrations=calibrations, duration=3600.0,
+             calibration=calibration, duration=3600.0,
              writer=ObservationWriter(out, f"pinned-{method}"))
     text = out.getvalue()
     digest, timeouts = PINNED_METHOD_LOGS[method]
