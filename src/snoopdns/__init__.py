@@ -10,16 +10,14 @@ from .clock import Clock, SystemClock, VirtualClock
 from .corpus import (DomainEntry, DomainList, ObservationLog, ObservationWriter,
                      ParseError, ResolverUnreachable, liveness_filter,
                      load_domain_list, load_observations)
-from .engine import (INVALIDATING_KINDS, CycleError,
-                     DiscoveryBudgetExceeded, DiscoveryMachine,
+from .engine import (INVALIDATING_KINDS, CycleError, DiscoveryMachine,
                      InconsistentTtl, InsufficientSeparation, MaxTtlEstimate,
-                     NonMonotonicTtl, Rd0Machine, RdBehavior, RefreshEvent,
-                     RefreshObservation, ServerPrefetches,
+                     Rd0Machine, RdBehavior, RefreshEvent, RefreshObservation,
                      SnoopError, TimingCalibration, TimingMachine,
-                     TtlExceedsMax, TtlRecursiveMachine,
-                     UnresolvableDomain, build_machine, calibrate_timing,
-                     check_rd_behavior, classify_timing, classify_window_read,
-                     discover_max_ttl, snap_to_grid, ttl_grace)
+                     TtlExceedsMax, TtlRecursiveMachine, build_machine,
+                     calibrate_timing, check_rd_behavior, classify_timing,
+                     classify_window_read, discover_max_ttl, snap_to_grid,
+                     ttl_grace)
 from .estimation import (ArrivalEstimate, DomainStats, NoObservations, aggregate,
                          estimate, format_ranking_table, poisson_pmf,
                          rank_domains, spearman_rho, write_ranking_csv)
@@ -41,13 +39,10 @@ __all__ = [
     "DomainEntry", "DomainList", "ObservationLog", "ObservationWriter",
     "ParseError", "ResolverUnreachable", "liveness_filter", "load_domain_list",
     "load_observations",
-    "INVALIDATING_KINDS", "CycleError",
-    "DiscoveryBudgetExceeded", "DiscoveryMachine", "InconsistentTtl",
-    "InsufficientSeparation", "MaxTtlEstimate", "NonMonotonicTtl",
-    "Rd0Machine", "RdBehavior", "RefreshEvent",
-    "RefreshObservation", "ServerPrefetches", "SnoopError",
-    "TimingCalibration", "TimingMachine", "TtlExceedsMax",
-    "TtlRecursiveMachine", "UnresolvableDomain", "build_machine",
+    "INVALIDATING_KINDS", "CycleError", "DiscoveryMachine", "InconsistentTtl",
+    "InsufficientSeparation", "MaxTtlEstimate", "Rd0Machine", "RdBehavior",
+    "RefreshEvent", "RefreshObservation", "SnoopError", "TimingCalibration",
+    "TimingMachine", "TtlExceedsMax", "TtlRecursiveMachine", "build_machine",
     "calibrate_timing", "check_rd_behavior", "classify_timing",
     "classify_window_read", "discover_max_ttl", "snap_to_grid", "ttl_grace",
     "ArrivalEstimate", "DomainStats", "NoObservations", "aggregate",

@@ -282,7 +282,7 @@ def cmd_discover_ttl(args) -> int:
     finally:
         if close:
             out.close()
-    return 0 if found and not failed else (2 if not found else 0)
+    return 0 if found else 2
 
 
 def _load_max_ttls(path: str) -> dict[str, int]:
@@ -376,13 +376,23 @@ def cmd_snoop(args) -> int:
         print(f"aborted {domain}: {why}", file=sys.stderr)
     print(f"{len(result.observations)} observations, {len(result.errors)} "
           f"annotations, scan_id {scan_id}", file=sys.stderr)
-    return 0
+    return _scanned_any(domains, result.aborted)
+
+
+def _scanned_any(domains: list[str], aborted: dict[str, str]) -> int:
+    """0 when some domain was scanned to the end, else 2 with an error line."""
+    if any(d not in aborted for d in domains):
+        return 0
+    print("error: every domain failed discovery or was aborted", file=sys.stderr)
+    return 2
 
 
 def cmd_report(args) -> int:
     config = _load_config(args.config)
     fmt = _setting(args, config, "format", "table")
     top = _setting(args, config, "top", None, int)
+    if top is not None and top < 0:
+        raise UsageError(f"--top must be at least 0, got {top}")
     confidence = _setting(args, config, "confidence", DEFAULT_CONFIDENCE, float)
     z = _z_for(confidence)
     observations = []
@@ -396,8 +406,8 @@ def cmd_report(args) -> int:
             return 2
         observations.extend(log.observations)
         corrupt += log.corrupt_lines
-        invalidated.update(e["domain"] for e in log.errors
-                           if e.get("error_kind") in engine.INVALIDATING_KINDS)
+        invalidated.update(e.domain for e in log.errors
+                           if e.kind in engine.INVALIDATING_KINDS)
     pairs = sorted({(o.server, o.method) for o in observations})
     if len(pairs) > 1:
         # one domain's rate from two servers or two methods is no one rate
@@ -434,6 +444,9 @@ def cmd_simulate(args) -> int:
     config = _load_config(args.config)
     method, duration, window_fraction, probe_interval, confirmations = _scan_settings(
         args, config, 3600.0)
+    if method == "timing":
+        raise UsageError("simulate cannot run the timing method, which needs a "
+                         "calibration; use snoop with --calibration-domain")
     raw = simnet.load_scenario(args.scenario)
     if args.seed is not None:
         raw = dict(raw)
@@ -473,7 +486,7 @@ def cmd_simulate(args) -> int:
     if result.rank_correlation is not None:
         lines.append(f"rank correlation vs truth: {result.rank_correlation:.3f}")
     print("\n".join(lines), file=sys.stderr)
-    return 0
+    return _scanned_any(list(result.discovery), result.scan.aborted)
 
 
 _COMMANDS = {

@@ -299,7 +299,7 @@ class ObservationLog:
     """Result of reading a JSONL log back."""
 
     observations: list[RefreshObservation] = field(default_factory=list)
-    errors: list[dict] = field(default_factory=list)
+    errors: list[CycleError] = field(default_factory=list)
     corrupt_lines: int = 0
     scan_ids: set[str] = field(default_factory=set)
 
@@ -312,7 +312,9 @@ def load_observations(path: str) -> ObservationLog:
     string, an error record without a string error_kind and message and
     a JSON-number at, or a record failing observation validation; each
     is counted, never fatal, so partial logs from interrupted scans load.
-    A load shares one string per distinct server, domain, method, scan id.
+    Error records load as CycleError, `at` as the number the line holds,
+    so each writes back to its own line through record_line. A load
+    shares one string per distinct server, domain, method, scan id.
     """
     log = ObservationLog()
     shared: dict[str, str] = {}
@@ -344,7 +346,9 @@ def load_observations(path: str) -> ObservationLog:
                     log.corrupt_lines += 1
                     continue
             elif kind == "error" and _error_ok(record):
-                log.errors.append(record)
+                log.errors.append(CycleError(
+                    record["server"], record["domain"], record["method"], record["at"],
+                    record["error_kind"], record["message"]))
             else:
                 log.corrupt_lines += 1
                 continue

@@ -22,6 +22,7 @@ scheduler rather than sleeping internally, so one thread can interleave
 many domains on either a virtual or the real clock. That scheduler is
 _run_machines, at the end of this module: scan runs every scan and
 discovery on it, and discover_max_ttl drives a single machine on it.
+Every machine reports a fault as a CycleError item of the step that met it.
 
 Each check of that invariant has one home: _exceeds_max,
 _checkpoint_fits, _check_countdown, _window, and the _adopt_max and
@@ -48,16 +49,6 @@ class SnoopError(Exception):
     """Base for engine-level failures."""
 
 
-class ServerPrefetches(SnoopError):
-    """Observed TTL reset upward before reaching zero: the server
-    refreshes records on its own ahead of expiry, so expiry-timed
-    methods cannot observe client traffic on it."""
-
-
-class NonMonotonicTtl(SnoopError):
-    """TTL failed to count down between closely spaced reads."""
-
-
 class TtlExceedsMax(SnoopError):
     """A read came back above the believed maximum TTL; the stored
     maximum is stale and should be rediscovered."""
@@ -73,14 +64,6 @@ class InsufficientSeparation(SnoopError):
 
 class InconsistentTtl(SnoopError):
     """A read implies a refresh before the record could have expired."""
-
-
-class UnresolvableDomain(SnoopError):
-    """The server returned no usable answer for the domain."""
-
-
-class DiscoveryBudgetExceeded(SnoopError):
-    """No candidate TTL reached the confirmation count within the round cap."""
 
 
 # wait this long past a computed expiry before re-querying, absorbing
@@ -101,7 +84,9 @@ CHECKPOINT_EVERY = 16  # snoop cycles per such check; cycle 0 always checks
 DISCOVERY_ROUND_FACTOR = 8  # discovery rounds allowed per required confirmation
 TIMEOUT_BACKOFF = 5.0  # ttl_recursive/timing: seconds to the next probe after a timeout
 NOANSWER_BACKOFF = 30.0  # ... and after a ttl_recursive read with no usable answer
-FAILURE_LIMIT = 3  # timeouts, unusable answers or stuck TTLs in a row end a domain
+# this many in a row end a domain: timeouts, unusable answers, stuck TTLs,
+# and rd0's full-TTL answers or early refreshes
+FAILURE_LIMIT = 3
 CALIBRATION_SAMPLES = 40  # timing calibration samples per class, cached and miss
 QUALITY_FLOOR = 0.95  # share of them the threshold must put on the right side
 GUARD_FRACTION = 0.25  # classify_timing's abstain band, a share of the median gap
@@ -198,7 +183,8 @@ class RefreshObservation:
 
 @dataclass(slots=True)
 class CycleError:
-    """A per-cycle anomaly annotated into the observation stream."""
+    """A fault or anomaly a machine reports as a step item. method is the
+    probing method, or "discovery" for the failure ending a DiscoveryMachine."""
 
     server: str
     domain: str
@@ -228,12 +214,6 @@ class TimingCalibration:
     threshold_ms: float
     separation_quality: float
 
-
-# the countdown verdicts that end a discovery
-_ERROR_TYPES = {
-    "non_monotonic_ttl": NonMonotonicTtl,
-    "server_prefetches": ServerPrefetches,
-}
 
 # server behaviors that invalidate the method for a domain: everything
 # observed there measures the server or ourselves, not its clients
@@ -336,9 +316,10 @@ class DiscoveryMachine:
     seen required_confirmations times within
     required_confirmations * DISCOVERY_ROUND_FACTOR rounds. A
     checkpoint probe shortly before each expiry guards the countdown
-    (see _check_countdown). When done, `estimate` holds the result or
-    `error` the failure: a SnoopError, or the ProbeTimeout of a probe
-    that got no answer.
+    (see _check_countdown). When done, `estimate` holds the result, or
+    the final step returned the failure as its one CycleError item,
+    method "discovery": unresolvable, timeout, server_prefetches,
+    non_monotonic_ttl or discovery_budget_exceeded.
     """
 
     def __init__(self, prober: Prober, server: str, domain: str,
@@ -351,40 +332,40 @@ class DiscoveryMachine:
         self.required = required_confirmations
         self.done = False
         self.estimate: MaxTtlEstimate | None = None
-        self.error: Exception | None = None
         self._mode = "first"
         self._last_ttl = 0
         self._last_at = 0.0
         self._counts: dict[int, int] = {}
         self._snapped: dict[int, bool] = {}
 
+    def _fail(self, at: float, kind: str, message: str) -> tuple[None, list]:
+        self.done = True
+        return None, [CycleError(self.server, self.domain, "discovery", at, kind, message)]
+
     def step(self, now: float) -> tuple[float | None, list]:
         if self.done:
             return None, []
         try:
-            return self._step(), []
-        except (SnoopError, ProbeTimeout) as exc:
-            self.error = exc
-            self.done = True
-            return None, []
-
-    def _step(self) -> float | None:
-        reply = self.prober.probe(self.server, self.domain, recursion_desired=True)
+            reply = self.prober.probe(self.server, self.domain, recursion_desired=True)
+        except ProbeTimeout as exc:
+            return self._fail(self.prober.clock.now(), "timeout", str(exc))
+        at = reply.sent_at
         ttl = _answer_ttl(reply, self.domain)
         if ttl is None:
             if self._mode == "first":
-                raise UnresolvableDomain(f"{self.domain} returned no usable answer "
-                                         f"(rcode {reply.response.rcode})")
-            raise UnresolvableDomain(f"{self.domain} stopped resolving during discovery")
+                return self._fail(at, "unresolvable", f"{self.domain} returned no usable "
+                                  f"answer (rcode {reply.response.rcode})")
+            return self._fail(at, "unresolvable",
+                              f"{self.domain} stopped resolving during discovery")
 
         if self._mode == "checkpoint":
-            verdict = _check_countdown(self._last_ttl, self._last_at, ttl, reply.sent_at)
+            verdict = _check_countdown(self._last_ttl, self._last_at, ttl, at)
             if verdict is None:
                 self._mode = "rollover"
-                return reply.sent_at + ttl + POST_EXPIRY_EPSILON
+                return at + ttl + POST_EXPIRY_EPSILON, []
             kind, message = verdict
             if kind != "checkpoint_late":
-                raise _ERROR_TYPES[kind](f"{self.domain}: {message}")
+                return self._fail(at, kind, f"{self.domain}: {message}")
             # a busy scheduler sent the checkpoint once the record had
             # expired: it re-fetched the record, so it is the roll-over read
             self._mode = "rollover"
@@ -399,38 +380,37 @@ class DiscoveryMachine:
                     confirmations=self._counts[value], snapped_to_grid=self._snapped[value],
                     candidates_seen=dict(self._counts))
                 self.done = True
-                return None
+                return None, []
 
         max_rounds = self.required * DISCOVERY_ROUND_FACTOR
         if sum(self._counts.values()) >= max_rounds:
-            raise DiscoveryBudgetExceeded(
-                f"{self.domain}: no TTL confirmed {self.required} times within "
-                f"{max_rounds} rounds; candidates seen: {self._counts}")
+            return self._fail(at, "discovery_budget_exceeded",
+                              f"{self.domain}: no TTL confirmed {self.required} times "
+                              f"within {max_rounds} rounds; candidates seen: {self._counts}")
         # next round: a checkpoint shortly before expiry unless the TTL is
         # too short for one, then the roll-over read just past it
-        self._last_ttl, self._last_at = ttl, reply.sent_at
+        self._last_ttl, self._last_at = ttl, at
         if _checkpoint_fits(ttl):
             self._mode = "checkpoint"
-            return reply.sent_at + ttl - CHECKPOINT_MARGIN
+            return at + ttl - CHECKPOINT_MARGIN, []
         self._mode = "rollover"
-        return reply.sent_at + ttl + POST_EXPIRY_EPSILON
+        return at + ttl + POST_EXPIRY_EPSILON, []
 
 
 def discover_max_ttl(prober: Prober, clock: Clock, server: str, domain: str,
                      required_confirmations: int = 5) -> MaxTtlEstimate:
     """Find one domain's maximum TTL on a server, sleeping between probes.
 
-    Drives a single DiscoveryMachine to its end. A TTL that jumps upward
-    before expiry raises ServerPrefetches, one that never moves
-    NonMonotonicTtl, no answer UnresolvableDomain, an unconfirmed
-    candidate DiscoveryBudgetExceeded, and an unanswered probe
-    ProbeTimeout. scan.discover_all runs many domains at once.
+    Drives a single DiscoveryMachine to its end, and raises its failure
+    as SnoopError("kind: message"). scan.discover_all runs many domains
+    at once.
     """
     machine = DiscoveryMachine(prober, server, domain,
                                required_confirmations=required_confirmations)
-    _run_machines(clock, [machine], clock.now())
-    if machine.error is not None:
-        raise machine.error
+    failed: list[CycleError] = []
+    _run_machines(clock, [machine], clock.now(), failed.extend)
+    if failed:
+        raise SnoopError(f"{failed[0].kind}: {failed[0].message}")
     return machine.estimate
 
 
@@ -689,12 +669,12 @@ class Rd0Machine(_ProbingMachine):
     server ignoring RD=0 betrays itself because our own probes become
     the refreshers: the answer carries the full TTL, a refresh dated to
     under a second before our send, where an honest client lands only
-    by luck; three in a row (empty answers and dated client refreshes
-    reset the run, repeat readings of one refresh are neutral) raise
-    rd_not_honored. And refreshes repeatedly dated clearly BEFORE the
-    previous refresh's expiry mean the server refills early on its own
-    (or the believed maximum is stale-high): three in a row raise
-    server_prefetches.
+    by luck; FAILURE_LIMIT in a row (empty answers and dated client
+    refreshes reset the run, repeat readings of one refresh are neutral)
+    end it with rd_not_honored. And refreshes repeatedly dated clearly
+    BEFORE the previous refresh's expiry mean the server refills early
+    on its own (or the believed maximum is stale-high): FAILURE_LIMIT in
+    a row end it with server_prefetches.
     """
 
     method = "rd0"
@@ -756,14 +736,14 @@ class Rd0Machine(_ProbingMachine):
                     self._early_refreshes += 1
                 else:
                     self._early_refreshes = 0
-                if self._fetch_signatures >= 3:
+                if self._fetch_signatures >= FAILURE_LIMIT:
                     items.append(self._error(
                         sent, "rd_not_honored",
                         "repeated full-TTL answers: the server fetches on "
                         "our RD=0 probes"))
                     self.done = True
                     return None, items
-                if self._early_refreshes >= 3:
+                if self._early_refreshes >= FAILURE_LIMIT:
                     items.append(self._error(
                         sent, "server_prefetches",
                         "refreshes keep landing before the previous expiry: "

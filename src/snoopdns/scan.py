@@ -46,23 +46,19 @@ def discover_all(prober: Prober, clock: Clock, server: str, domains: list[str],
     whole list costs about (required_confirmations + 1) x its largest
     maximum TTL of clock time while the prober's rate limit keeps up;
     a longer list takes its probe count divided by the rate. Returns
-    (found, failed); a failed discovery records the error text and
-    excludes the domain. Its retries can hold the queue, but a
-    checkpoint they push past its expiry serves as that round's
-    roll-over read, so no other domain fails for it.
+    (found, failed); a failed discovery maps its domain to "kind:
+    message" of the machine's CycleError and excludes it. Its retries
+    can hold the queue, but a checkpoint they push past its expiry
+    serves as that round's roll-over read, so no other domain fails
+    for it.
     """
     machines = [DiscoveryMachine(prober, server, domain,
                                  required_confirmations=required_confirmations)
                 for domain in domains]
-    _run_machines(clock, machines, clock.now())
-    found: dict[str, MaxTtlEstimate] = {}
-    failed: dict[str, str] = {}
-    for machine in machines:
-        if machine.error is not None:
-            failed[machine.domain] = f"{type(machine.error).__name__}: {machine.error}"
-        else:
-            found[machine.domain] = machine.estimate
-    return found, failed
+    errors: list[CycleError] = []
+    _run_machines(clock, machines, clock.now(), errors.extend)
+    found = {m.domain: m.estimate for m in machines if m.estimate is not None}
+    return found, {e.domain: f"{e.kind}: {e.message}" for e in errors}
 
 
 def run_scan(prober: Prober, clock: Clock, server: str, domains: list[str], *,

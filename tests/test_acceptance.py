@@ -17,9 +17,8 @@ from snoopdns import cli
 from snoopdns.clock import VirtualClock
 from snoopdns.corpus import load_observations
 from snoopdns.engine import (InsufficientSeparation, RefreshEvent,
-                             RefreshObservation, ServerPrefetches,
-                             calibrate_timing, check_rd_behavior,
-                             classify_timing, discover_max_ttl)
+                             RefreshObservation, SnoopError, calibrate_timing,
+                             check_rd_behavior, classify_timing, discover_max_ttl)
 from snoopdns.estimation import aggregate, estimate, rank_domains, write_ranking_csv
 from snoopdns.scan import run_batch, run_scan
 from snoopdns.simnet import SimExchange, build_sim, config_from_dict, serve_udp
@@ -162,7 +161,7 @@ def test_max_ttl_discovery_is_exact_and_flags_prefetchers():
         "anomaly": {"kind": "pre_refresh", "remaining_low": 3.0,
                     "remaining_high": 5.0}}, salt=7)
     started = clock.now()
-    with pytest.raises(ServerPrefetches):
+    with pytest.raises(SnoopError, match=r"^server_prefetches: a\.test: TTL jumped to"):
         discover_max_ttl(prober, clock, "sim", "a.test",
                          required_confirmations=5)
     cycles_used = (clock.now() - started) / 60.0

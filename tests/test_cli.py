@@ -174,6 +174,31 @@ class TestExitCodes:
         missing = str(tmp_path / "absent.jsonl")
         assert cli.main(["report", "--in", missing]) == 2
 
+    def test_snoop_exits_2_when_the_scan_aborted_every_domain(self, tmp_path, capsys):
+        path = tmp_path / "maxttls.json"
+        path.write_text(json.dumps({"a.test": 60, "b.test": 30}))
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as server:
+            server.bind(("127.0.0.1", 0))
+            server.setblocking(False)
+            port = server.getsockname()[1]
+            assert cli.main(["snoop", "--server", f"127.0.0.1:{port}",
+                             "--domains", "a.test,b.test", "--max-ttls", str(path),
+                             "--method", "rd0", "--probe-interval", "100",
+                             "--duration", "600", "--out", str(tmp_path / "log.jsonl")]) == 2
+            with pytest.raises(BlockingIOError):
+                server.recv(512)
+        err = capsys.readouterr().err
+        assert "aborted a.test: probe interval 100s" in err
+        assert "aborted b.test: probe interval 100s" in err
+        assert err.endswith("error: every domain failed discovery or was aborted\n")
+
+    @pytest.mark.parametrize("top", [["--top", "-1"], ["--top=-5"]])
+    def test_a_negative_top_is_a_usage_error_before_any_log_is_read(
+            self, top, monkeypatch, capsys):
+        monkeypatch.setattr(cli.corpus, "load_observations", lambda *a: pytest.fail("read"))
+        assert cli.main(["report", "--in", "log.jsonl", *top]) == 1
+        assert "error: --top must be at least 0, got -" in capsys.readouterr().err
+
     def test_report_with_no_usable_observations_fails(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
         path.write_text("{corrupt\n")
@@ -285,8 +310,38 @@ class TestSimulateCommand:
         scenario = scenario_file(tmp_path, zones={
             "alpha.test": {"address": "10.0.0.1", "ttl": 60}}, clients=[])
         assert cli.main(["simulate", "--scenario", scenario, "--duration", "600",
-                         "--method", "rd0", "--probe-interval", "1000"]) == 0
-        assert ("aborted alpha.test: probe interval 1000s exceeds the maximum TTL 60s"
+                         "--method", "rd0", "--probe-interval", "1000"]) == 2
+        err = capsys.readouterr().err
+        assert "aborted alpha.test: probe interval 1000s exceeds the maximum TTL 60s" in err
+        assert err.endswith("error: every domain failed discovery or was aborted\n")
+
+    def test_a_scan_that_keeps_one_domain_exits_0(self, tmp_path, capsys):
+        scenario = scenario_file(tmp_path, zones={
+            "alpha.test": {"address": "10.0.0.1", "ttl": 60},
+            "beta.test": {"address": "10.0.0.2", "ttl": 300}}, clients=[])
+        assert cli.main(["simulate", "--scenario", scenario, "--duration", "600",
+                         "--confirmations", "1", "--method", "rd0",
+                         "--probe-interval", "100"]) == 0
+        err = capsys.readouterr().err
+        assert "aborted alpha.test" in err and "aborted beta.test" not in err
+        assert "error:" not in err
+
+    @pytest.mark.parametrize("how", ["flag", "env", "config"])
+    def test_the_timing_method_is_a_usage_error_before_the_simulator_is_built(
+            self, how, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli.simnet, "load_scenario", lambda *a: pytest.fail("loaded"))
+        monkeypatch.setattr(cli.scan, "run_batch", lambda *a, **kw: pytest.fail("ran"))
+        argv = ["simulate", "--scenario", scenario_file(tmp_path)]
+        if how == "flag":
+            argv += ["--method", "timing"]
+        elif how == "env":
+            monkeypatch.setenv("SNOOPDNS_METHOD", "timing")
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"method": "timing"}))
+            argv += ["--config", str(config)]
+        assert cli.main(argv) == 1
+        assert ("error: simulate cannot run the timing method, which needs a calibration"
                 in capsys.readouterr().err)
 
     def test_out_appends_jsonl_records(self, tmp_path, capsys):

@@ -229,8 +229,29 @@ class TestJsonlLog:
         errors = [i for i in items if isinstance(i, CycleError)]
         assert ([record_line(o, scan_id) for o in log.observations]
                 == [record_line(o, scan_id) for o in observations])
-        assert ([json.dumps(e, sort_keys=True) + "\n" for e in log.errors]
+        assert ([record_line(e, scan_id) for e in log.errors]
                 == [record_line(e, scan_id) for e in errors])
+
+    def test_loaded_errors_are_the_written_ones_and_write_back_their_bytes(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        errors = [CycleError("sim", "a.test", "rd0", 30.5, "rd_not_honored", "full TTLs"),
+                  CycleError("sim", "b.test", "ttl_recursive", 61.0, "timeout", "no reply"),
+                  CycleError("sim", "c.test", "discovery", 7.25, "server_prefetches",
+                             "c.test: TTL jumped to 60 with ~30s left before expiry")]
+        with open(path, "w", encoding="utf-8") as handle:
+            writer = ObservationWriter(handle, "scan-e")
+            writer.write(sample_observation())
+            for error in errors:
+                writer.write(error)
+            # a hand-written line whose at is a JSON integer keeps it one
+            handle.write(record_line(errors[0], "scan-e").replace("30.5", "30"))
+        log = load_observations(str(path))
+        assert log.corrupt_lines == 0
+        assert log.errors[:3] == errors
+        assert all(type(e) is CycleError for e in log.errors)
+        assert type(log.errors[3].at) is int
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert [record_line(e, "scan-e") for e in log.errors] == lines[1:]
 
     def test_writer_appends_one_flushed_line_per_record(self, tmp_path):
         path = tmp_path / "log.jsonl"
@@ -329,7 +350,7 @@ class TestJsonlLog:
         ]) + "\n")
         log = load_observations(str(path))
         assert log.observations == [sample_observation(censored=True)]
-        assert log.errors == [error]
+        assert log.errors == [CycleError("sim", "a.test", "rd0", 1.0, "timeout", "m")]
         assert log.corrupt_lines == 13
         assert log.scan_ids == {"s"}
         with pytest.raises(ParseError, match="not a JSON string"):
@@ -344,9 +365,8 @@ class TestJsonlLog:
                 writer.write(CycleError("sim", "a.test", "rd0", float(i), "timeout", "m"))
         log = load_observations(str(path))
         assert len(log.observations) == len(log.errors) == 6
-        for name in ("server", "domain", "method", "scan_id"):
-            values = [getattr(o, name) for o in log.observations if name != "scan_id"]
-            values += [error[name] for error in log.errors]
+        for name in ("server", "domain", "method"):
+            values = [getattr(record, name) for record in log.observations + log.errors]
             first = {}
             assert all(first.setdefault(value, value) is value for value in values)
         assert len({o.method for o in log.observations}) == 2

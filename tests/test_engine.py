@@ -4,12 +4,10 @@ import pytest
 
 from snoopdns import engine
 from snoopdns.clock import VirtualClock
-from snoopdns.engine import (CycleError, DiscoveryBudgetExceeded,
-                             DiscoveryMachine, InconsistentTtl,
-                             InsufficientSeparation, NonMonotonicTtl,
-                             Rd0Machine, RefreshObservation,
-                             ServerPrefetches, TimingCalibration, TtlExceedsMax,
-                             TtlRecursiveMachine, UnresolvableDomain, calibrate_timing,
+from snoopdns.engine import (CycleError, DiscoveryMachine, InconsistentTtl,
+                             InsufficientSeparation, Rd0Machine,
+                             RefreshObservation, SnoopError, TimingCalibration,
+                             TtlExceedsMax, TtlRecursiveMachine, calibrate_timing,
                              check_rd_behavior, classify_timing,
                              classify_window_read, discover_max_ttl,
                              snap_to_grid, ttl_grace)
@@ -136,14 +134,14 @@ class TestDiscoverMaxTtl:
         config["anomaly"] = {"kind": "pre_refresh",
                              "remaining_low": 3.0, "remaining_high": 5.0}
         prober, clock, _ = sim_prober(config)
-        with pytest.raises(ServerPrefetches):
+        with pytest.raises(SnoopError, match=r"^server_prefetches: a\.test: TTL jumped to"):
             discover_max_ttl(prober, clock, "sim", "a.test")
         # one initial read plus at most one checkpoint: round 1
         assert clock.now() < 2 * 300
 
     def test_static_ttl_server_detected(self, scripted):
         prober, clock, _ = scripted([77, 77])
-        with pytest.raises(NonMonotonicTtl):
+        with pytest.raises(SnoopError, match=r"^non_monotonic_ttl: a\.test: TTL stuck at 77"):
             discover_max_ttl(prober, clock, "sim", "a.test")
 
     def test_budget_exhaustion_raises(self, scripted):
@@ -152,18 +150,21 @@ class TestDiscoverMaxTtl:
         for value in candidates:
             script += [2, value]
         prober, clock, _ = scripted(script)
-        with pytest.raises(DiscoveryBudgetExceeded):
+        with pytest.raises(SnoopError, match=r"^discovery_budget_exceeded: a\.test: "
+                                             r"no TTL confirmed 2 times within 16 rounds"):
             discover_max_ttl(prober, clock, "sim", "a.test",
                              required_confirmations=2)
 
     def test_unresolvable_domain_raises(self, scripted):
         prober, clock, _ = scripted([None])
-        with pytest.raises(UnresolvableDomain):
+        with pytest.raises(SnoopError, match=r"^unresolvable: a\.test returned no usable "
+                                             r"answer \(rcode "):
             discover_max_ttl(prober, clock, "sim", "a.test")
 
     def test_timeout_propagates(self, scripted):
         prober, clock, _ = scripted(["timeout"])
-        with pytest.raises(ProbeTimeout):
+        with pytest.raises(SnoopError, match=r"^timeout: query for a\.test against sim "
+                                             r"failed after 1 attempts$"):
             discover_max_ttl(prober, clock, "sim", "a.test")
 
 
@@ -183,7 +184,7 @@ class TestDiscoveryMachine:
         # first read, then per round a checkpoint 2 s before expiry and
         # a roll-over read 1 s after it
         assert wakes == [238.0, 241.0, 479.0, 482.0, None]
-        assert machine.done and machine.error is None
+        assert machine.done
         assert machine.estimate.candidates_seen == {240: 2}
 
     def test_a_checkpoint_sent_after_expiry_is_the_roll_over_read(self, scripted):
@@ -194,12 +195,10 @@ class TestDiscoveryMachine:
         # record was re-fetched at the maximum, which counts as a round
         clock.sleep_until(245.0)
         assert machine.step(clock.now()) == (483.0, [])
-        assert machine.error is None
         clock.sleep_until(483.0)
         assert machine.step(clock.now()) == (486.0, [])
         clock.sleep_until(486.0)
         assert machine.step(clock.now()) == (None, [])
-        assert machine.error is None
         assert machine.estimate.candidates_seen == {240: 2}
 
     def test_a_late_checkpoint_over_a_second_before_expiry_is_judged(self, scripted):
@@ -207,18 +206,30 @@ class TestDiscoveryMachine:
         machine = DiscoveryMachine(prober, "sim", "a.test", required_confirmations=2)
         machine.step(clock.now())
         clock.sleep_until(238.5)  # 1.5 s left: the record cannot have expired
-        assert machine.step(clock.now()) == (None, [])
-        assert isinstance(machine.error, NonMonotonicTtl)
-        assert str(machine.error) == "a.test: TTL stuck at 240 across 238s"
+        assert machine.step(clock.now()) == (None, [CycleError(
+            "sim", "a.test", "discovery", 238.5, "non_monotonic_ttl",
+            "a.test: TTL stuck at 240 across 238s")])
+        assert machine.done and machine.estimate is None
 
     def test_failure_is_kept_for_the_caller(self, scripted):
         prober, clock, _ = scripted([None])
         machine = DiscoveryMachine(prober, "sim", "a.test")
-        assert machine.step(clock.now()) == (None, [])
-        assert machine.done
-        assert isinstance(machine.error, UnresolvableDomain)
-        assert "no usable answer" in str(machine.error)
+        wake, items = machine.step(clock.now())
+        assert wake is None and machine.done
+        [error] = items
+        assert (error.server, error.domain, error.method, error.kind) == (
+            "sim", "a.test", "discovery", "unresolvable")
+        assert error.message.startswith("a.test returned no usable answer (rcode ")
         assert machine.estimate is None
+        assert machine.step(clock.now()) == (None, [])
+
+    def test_a_timeout_is_stamped_once_the_retries_gave_up(self, scripted):
+        prober, clock, _ = scripted(["timeout"])
+        machine = DiscoveryMachine(prober, "sim", "a.test")
+        assert machine.step(clock.now()) == (None, [CycleError(
+            "sim", "a.test", "discovery", clock.now(), "timeout",
+            "query for a.test against sim failed after 1 attempts")])
+        assert clock.now() > 0
 
     def test_confirmations_must_be_positive(self, scripted):
         prober, _, _ = scripted([])

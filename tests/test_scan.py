@@ -150,6 +150,20 @@ class TestRunScan:
         # whatever was observed there measured the server, not clients
         assert all(o.domain != "alpha.test" for o in result.observations)
 
+    def test_discovery_and_the_scan_name_a_prefetching_server_alike(self):
+        config = two_zone_config(clients=[], anomaly={
+            "kind": "pre_refresh", "remaining_low": 3.0, "remaining_high": 5.0})
+        prober, clock, _ = sim_prober(config)
+        found, failed = discover_all(prober, clock, "sim", ["alpha.test"])
+        assert found == {}
+        assert failed["alpha.test"].startswith("server_prefetches: alpha.test: TTL jumped to")
+        prober, clock, _ = sim_prober(config)
+        result = run_scan(prober, clock, "sim", ["alpha.test"],
+                          max_ttls={"alpha.test": 60}, duration=4000)
+        assert result.errors[-1].kind == "server_prefetches"
+        assert result.errors[-1].message.startswith("TTL jumped to")
+        assert result.aborted == {"alpha.test": result.errors[-1].message}
+
     def test_an_rd0_interval_above_a_max_ttl_aborts_only_that_domain(self):
         config = two_zone_config()
         config["zones"]["beta.test"]["ttl"] = 300
@@ -248,7 +262,8 @@ class TestDiscoverAll:
                                      required_confirmations=2)
         assert found["alpha.test"].max_ttl == 60
         assert "missing.test" in failed
-        assert "UnresolvableDomain" in failed["missing.test"]
+        assert failed["missing.test"].startswith(
+            "unresolvable: missing.test returned no usable answer")
 
     def test_domains_wait_out_their_expiries_together(self):
         prober, clock, _ = sim_prober(quiet_config())
@@ -285,9 +300,9 @@ class TestDiscoverAll:
                                      required_confirmations=CONFIRMATIONS)
         assert set(failed) == {"missing.test", "prefetch.test"}
         assert failed["missing.test"].startswith(
-            "UnresolvableDomain: missing.test returned no usable answer")
+            "unresolvable: missing.test returned no usable answer")
         assert failed["prefetch.test"].startswith(
-            "ServerPrefetches: prefetch.test: TTL jumped to")
+            "server_prefetches: prefetch.test: TTL jumped to")
         alone = estimates_alone(quiet_config(), QUIET_TTLS)
         assert {d: summary(e) for d, e in found.items()} == {
             d: summary(e) for d, e in alone.items()}
@@ -310,7 +325,8 @@ class TestDiscoverAll:
                                      required_confirmations=CONFIRMATIONS)
         if lost:
             assert set(failed) == {"lost.test"}
-            assert failed["lost.test"].startswith("ProbeTimeout: ")
+            assert failed["lost.test"] == ("timeout: query for lost.test against sim "
+                                           "failed after 4 attempts")
         else:
             assert failed == {}
         alone = estimates_alone(quiet_config(BURST_TTLS), BURST_TTLS)
