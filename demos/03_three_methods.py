@@ -10,7 +10,7 @@
                  where TTL readings are useless.
 
 All three produce the same observation shape: a watched span, either
-censored (nobody refreshed) or an event with the refresh delay, so one
+censored (no delay: nobody refreshed) or carrying the refresh delay, so one
 estimator serves them all.
 
 Run: python3 demos/03_three_methods.py
@@ -57,7 +57,7 @@ for salt, method in enumerate(("rd0", "ttl_recursive", "timing")):
                       calibration=calibration)
     stats = result.stats()["api.example"]
     est = results[method] = estimate(stats)
-    events = [o for o in result.observations if o.event is not None]
+    events = [o for o in result.observations if o.delay is not None]
     print(f"{method:>14}: {stats.cycles:3d} cycles, {len(events):2d} events, "
           f"{stats.observed_seconds:7.0f} s observed")
     print(f"{'':>14}  estimate {est.arrival_rate_per_s:.5f}/s "
@@ -65,8 +65,7 @@ for salt, method in enumerate(("rd0", "ttl_recursive", "timing")):
           f"mean refresh period {est.mean_refresh_period_s:.0f} s")
     first = next((i for i in events), None)
     if first is not None:
-        delay = first.event.delay_after_expiry
-        print(f"{'':>14}  first event: refresh {delay:.1f} s into a "
+        print(f"{'':>14}  first event: refresh {first.delay:.1f} s into a "
               f"{first.window_length:.0f} s window")
     print()
 

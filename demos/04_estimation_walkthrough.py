@@ -12,7 +12,7 @@ Run: python3 demos/04_estimation_walkthrough.py
 import io
 import math
 
-from snoopdns.engine import RefreshEvent, RefreshObservation
+from snoopdns.engine import RefreshObservation
 from snoopdns.estimation import (aggregate, estimate, format_ranking_table,
                                  rank_domains, write_ranking_csv)
 
@@ -20,15 +20,11 @@ W = 300.0  # watch window, seconds
 
 
 def cycle(domain, start, delay=None):
-    """One expiry-watch cycle: censored, or an event at the given delay."""
-    event = None
-    if delay is not None:
-        event = RefreshEvent(delay_after_expiry=delay,
-                             inferred_refresh_time=start + delay)
+    """One expiry-watch cycle: censored (delay None), or an event at the
+    given delay."""
     return RefreshObservation(
         server="resolver.example", domain=domain, method="ttl_recursive",
-        window_start=start, window_length=W, probe_rtt_ms=12.0,
-        censored=delay is None, event=event)
+        window_start=start, window_length=W, probe_rtt_ms=12.0, delay=delay)
 
 
 observations = [
@@ -53,8 +49,8 @@ print("  long); a censored window contributes its full length.\n")
 stats = aggregate(observations)
 for domain in ("busy.example", "sleepy.example"):
     s = stats[domain]
-    delays = [o.event.delay_after_expiry for o in observations
-              if o.domain == domain and o.event is not None]
+    delays = [o.delay for o in observations
+              if o.domain == domain and o.delay is not None]
     print(f"  {domain}: events {s.events} (delays sum {sum(delays):.0f} s) "
           f"+ censored {s.censored} x {W:.0f} s")
     print(f"    = {s.observed_seconds:.0f} s observed over {s.cycles} cycles")

@@ -7,17 +7,16 @@ validating every estimator offline.
 """
 
 from .clock import Clock, SystemClock, VirtualClock
-from .corpus import (DomainEntry, DomainList, ObservationLog, ObservationWriter,
-                     ParseError, ResolverUnreachable, liveness_filter,
-                     load_domain_list, load_observations)
+from .corpus import (ObservationLog, ObservationWriter, ParseError,
+                     ResolverUnreachable, liveness_filter, load_domain_list,
+                     load_observations)
 from .engine import (INVALIDATING_KINDS, CycleError, DiscoveryMachine,
                      InconsistentTtl, InsufficientSeparation, MaxTtlEstimate,
-                     Rd0Machine, RdBehavior, RefreshEvent, RefreshObservation,
-                     SnoopError, TimingCalibration, TimingMachine,
-                     TtlExceedsMax, TtlRecursiveMachine, build_machine,
-                     calibrate_timing, check_rd_behavior, classify_timing,
-                     classify_window_read, discover_max_ttl, snap_to_grid,
-                     ttl_grace)
+                     Rd0Machine, RdBehavior, RefreshObservation, SnoopError,
+                     TimingCalibration, TimingMachine, TtlExceedsMax,
+                     TtlRecursiveMachine, build_machine, calibrate_timing,
+                     check_rd_behavior, classify_timing, classify_window_read,
+                     discover_max_ttl, snap_to_grid, ttl_grace)
 from .estimation import (ArrivalEstimate, DomainStats, NoObservations, aggregate,
                          estimate, format_ranking_table, poisson_pmf,
                          rank_domains, spearman_rho, write_ranking_csv)
@@ -36,13 +35,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Clock", "SystemClock", "VirtualClock",
-    "DomainEntry", "DomainList", "ObservationLog", "ObservationWriter",
-    "ParseError", "ResolverUnreachable", "liveness_filter", "load_domain_list",
-    "load_observations",
+    "ObservationLog", "ObservationWriter", "ParseError", "ResolverUnreachable",
+    "liveness_filter", "load_domain_list", "load_observations",
     "INVALIDATING_KINDS", "CycleError", "DiscoveryMachine", "InconsistentTtl",
     "InsufficientSeparation", "MaxTtlEstimate", "Rd0Machine", "RdBehavior",
-    "RefreshEvent", "RefreshObservation", "SnoopError", "TimingCalibration",
-    "TimingMachine", "TtlExceedsMax", "TtlRecursiveMachine", "build_machine",
+    "RefreshObservation", "SnoopError", "TimingCalibration", "TimingMachine",
+    "TtlExceedsMax", "TtlRecursiveMachine", "build_machine",
     "calibrate_timing", "check_rd_behavior", "classify_timing",
     "classify_window_read", "discover_max_ttl", "snap_to_grid", "ttl_grace",
     "ArrivalEstimate", "DomainStats", "NoObservations", "aggregate",

@@ -188,20 +188,23 @@ def _require_authorization(server: str, authorized: bool) -> None:
 def _gather_domains(args, config: dict) -> list[str]:
     names: list[str] = []
     listed = _setting(args, config, "domains", None)
-    if listed:
-        names.extend(part.strip() for part in str(listed).split(",") if part.strip())
+    for part in str(listed or "").split(","):
+        name = part.strip()
+        if name:
+            try:
+                names.append(wire.validate_name(name))
+            except wire.InvalidName as exc:
+                raise UsageError(f"--domains entry {name!r} is not a domain name: "
+                                 f"{exc}") from None
     path = _setting(args, config, "domain_file", None)
     if path:
-        loaded = corpus.load_domain_list(path)
-        names.extend(loaded.domains)
+        loaded, skipped = corpus.load_domain_list(path)
+        names.extend(loaded)
+        if skipped:
+            print(f"skipped {skipped} invalid or repeated names in {path}", file=sys.stderr)
     if not names:
         raise UsageError("no domains given; use --domains or --domain-file")
-    out: list[str] = []
-    for name in names:
-        canonical = wire.validate_name(name)
-        if canonical not in out:
-            out.append(canonical)
-    return out
+    return list(dict.fromkeys(names))
 
 
 def _make_prober(args, config: dict) -> Prober:
@@ -304,7 +307,11 @@ def _load_max_ttls(path: str) -> dict[str, int]:
                 or not 1 <= ttl <= wire.MAX_TTL or ttl != int(ttl)):
             raise UsageError(f"--max-ttls entry for {domain} must be a whole number "
                              f"from 1 to {wire.MAX_TTL}, got {ttl!r}")
-        out[wire.validate_name(domain)] = int(ttl)
+        try:
+            out[wire.validate_name(domain)] = int(ttl)
+        except wire.InvalidName as exc:
+            raise UsageError(f"--max-ttls entry for {domain!r} is not a domain name: "
+                             f"{exc}") from None
     if not out:
         raise UsageError("--max-ttls file holds no usable entries")
     return out
@@ -376,14 +383,14 @@ def cmd_snoop(args) -> int:
         print(f"aborted {domain}: {why}", file=sys.stderr)
     print(f"{len(result.observations)} observations, {len(result.errors)} "
           f"annotations, scan_id {scan_id}", file=sys.stderr)
-    return _scanned_any(domains, result.aborted)
+    return _exit_status(result)
 
 
-def _scanned_any(domains: list[str], aborted: dict[str, str]) -> int:
-    """0 when some domain was scanned to the end, else 2 with an error line."""
-    if any(d not in aborted for d in domains):
+def _exit_status(result: scan.ScanResult) -> int:
+    """0 when the scan recorded an observation, else 2 with an error line."""
+    if result.observations:
         return 0
-    print("error: every domain failed discovery or was aborted", file=sys.stderr)
+    print("error: the scan recorded no observation", file=sys.stderr)
     return 2
 
 
@@ -486,7 +493,7 @@ def cmd_simulate(args) -> int:
     if result.rank_correlation is not None:
         lines.append(f"rank correlation vs truth: {result.rank_correlation:.3f}")
     print("\n".join(lines), file=sys.stderr)
-    return _scanned_any(list(result.discovery), result.scan.aborted)
+    return _exit_status(result.scan)
 
 
 _COMMANDS = {

@@ -1,12 +1,14 @@
 """Domain corpora and observation persistence.
 
 Input side: domain lists arrive either as plain text (one name per
-line, # comments) or as CSV ranking exports with a domain column.
+line, # comments) or as CSV ranking exports with a domain column, and
+load as their valid names plus a count of the names skipped.
 Output side: observations stream to JSON Lines, one self-contained
 record per line, so a crashed or interrupted scan loses at most the
 line being written and partial logs stay loadable.
 """
 
+import csv
 import json
 import threading
 from dataclasses import dataclass, field
@@ -16,7 +18,7 @@ from typing import Iterable, TextIO
 
 from . import wire
 from .clock import Clock
-from .engine import CycleError, RefreshEvent, RefreshObservation, SnoopError
+from .engine import CycleError, RefreshObservation, SnoopError
 from .transport import Prober, ProbeTimeout
 
 SCHEMA_VERSION = 1
@@ -33,102 +35,40 @@ class ResolverUnreachable(SnoopError):
     not the domains."""
 
 
-@dataclass(frozen=True)
-class DomainEntry:
-    domain: str
-    rank: int | None = None
+def load_domain_list(path: str) -> tuple[list[str], int]:
+    """Read a domain list as (names, skipped).
 
-
-@dataclass
-class DomainList:
-    entries: list[DomainEntry] = field(default_factory=list)
-    skipped: int = 0
-
-    @property
-    def domains(self) -> list[str]:
-        return [e.domain for e in self.entries]
-
-
-def _sniff_format(first_line: str) -> str:
-    cells = [c.strip().strip('"').lower() for c in first_line.split(",")]
-    if "domain" in cells and len(cells) > 1 or cells == ["domain"]:
-        return "csv_with_domain_column"
-    return "plain_lines"
-
-
-def load_domain_list(path: str, fmt: str = "auto") -> DomainList:
-    """Read a domain list, skipping (and counting) invalid entries.
-
-    fmt is "plain_lines", "csv_with_domain_column", or "auto" to sniff
-    from the header line. Duplicates keep their first occurrence and
-    count as skipped. Structural problems raise ParseError with the
-    offending line number.
+    When the first non-blank line is a CSV header with a domain cell,
+    that column holds the names, and rows whose cells are all blank are
+    passed over. Otherwise the file holds one name per line, with blank
+    lines and # comments ignored. Each name is validated and normalized;
+    invalid names and repeats are skipped and counted, and a repeat
+    keeps its first place.
     """
     with open(path, "r", encoding="utf-8", errors="replace") as handle:
         lines = handle.read().splitlines()
-    if fmt == "auto":
-        first = next((ln for ln in lines if ln.strip()), "")
-        fmt = _sniff_format(first)
-    if fmt == "plain_lines":
-        return _load_plain(lines)
-    if fmt == "csv_with_domain_column":
-        return _load_csv(lines, path)
-    raise ValueError(f"unknown domain list format {fmt!r}")
-
-
-def _load_plain(lines: list[str]) -> DomainList:
-    out = DomainList()
-    seen: set[str] = set()
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        _append(out, seen, line, rank=None)
-    return out
-
-
-def _load_csv(lines: list[str], path: str) -> DomainList:
-    import csv
-
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError(f"{path}:1: empty file where a CSV header was expected")
-    columns = {name.strip().lower(): i for i, name in enumerate(header)}
-    if "domain" not in columns:
-        raise ParseError(f"{path}:1: no 'domain' column in header {header!r}")
-    domain_col = columns["domain"]
-    rank_col = columns.get("globalrank", columns.get("rank"))
-    out = DomainList()
-    seen: set[str] = set()
-    for number, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if domain_col >= len(row):
-            out.skipped += 1
-            continue
-        rank = None
-        if rank_col is not None and rank_col < len(row):
-            try:
-                rank = int(row[rank_col].strip())
-            except ValueError:
-                rank = None
-        _append(out, seen, row[domain_col].strip(), rank=rank)
-    return out
-
-
-def _append(out: DomainList, seen: set[str], name: str, rank: int | None) -> None:
-    try:
-        canonical = wire.validate_name(name)
-    except wire.InvalidName:
-        out.skipped += 1
-        return
-    if canonical in seen:
-        out.skipped += 1
-        return
-    seen.add(canonical)
-    out.entries.append(DomainEntry(domain=canonical, rank=rank))
+    first = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
+    rows = csv.reader(lines[first:])
+    header = [cell.strip().strip('"').lower() for cell in next(rows, [])]
+    if "domain" in header:
+        column = header.index("domain")
+        # a row too short to reach the column holds the empty, invalid name
+        raw = (row[column] if column < len(row) else ""
+               for row in rows if any(cell.strip() for cell in row))
+    else:
+        raw = (line for line in lines if line.strip() and not line.strip().startswith("#"))
+    names: dict[str, None] = {}
+    skipped = 0
+    for text in raw:
+        try:
+            name = wire.validate_name(text.strip())
+        except wire.InvalidName:
+            name = None
+        if name is None or name in names:
+            skipped += 1
+        else:
+            names[name] = None
+    return list(names), skipped
 
 
 # a domain is dead only after failing this many resolution rounds,
@@ -187,24 +127,27 @@ def record_line(item: "RefreshObservation | CycleError", scan_id: str) -> str:
     The layout is fixed and equals json.dumps(record, sort_keys=True) of
     the record's dict: sorted keys, ", " and ": " separators, strings
     escaped to ASCII, numbers as repr with NaN, Infinity and -Infinity,
-    and true, false and null. A field declared str must hold a str.
+    and true, false and null. A field declared str must hold a str. An
+    observation's censored is true exactly when its delay is None; else
+    its event holds delay_after_expiry (the delay) and
+    inferred_refresh_time (window_start + delay).
     """
     text = encode_basestring_ascii
     if isinstance(item, RefreshObservation):
-        event = item.event
         start, length, rtt = item.window_start, item.window_length, item.probe_rtt_ms
-        delay, refresh = (0.0, 0.0) if event is None else (
-            event.delay_after_expiry, event.inferred_refresh_time)
-        if (type(start) is type(length) is type(rtt) is type(delay) is type(refresh) is float
-                and isfinite(start + length + rtt + delay + refresh)
-                and type(item.censored) is bool):
+        delay = item.delay
+        refresh = 0.0 if delay is None else start + delay
+        if (type(start) is type(length) is type(rtt) is type(refresh) is float
+                and (delay is None or type(delay) is float)
+                and isfinite(start + length + rtt + refresh)):
             # the usual record: repr writes a finite float as json.dumps does
-            number, censored = repr, "true" if item.censored else "false"
+            number = repr
         else:
-            number, censored = json.dumps, json.dumps(item.censored)
-        event_json = "null" if event is None else (
+            number = json.dumps
+        event_json = "null" if delay is None else (
             f'{{"delay_after_expiry": {number(delay)}, '
             f'"inferred_refresh_time": {number(refresh)}}}')
+        censored = "true" if delay is None else "false"
         return (f'{{"censored": {censored}, "domain": {text(item.domain)}, '
                 f'"event": {event_json}, "kind": "observation", '
                 f'"method": {text(item.method)}, "probe_rtt_ms": {number(rtt)}, '
@@ -252,20 +195,26 @@ def observation_from_json(record: dict) -> RefreshObservation:
         censored = record["censored"]
         if not isinstance(censored, bool):
             raise ValueError(f"censored is not a JSON boolean: {censored!r}")
-        event = None
-        if record["event"] is not None:
-            event = RefreshEvent(
-                delay_after_expiry=_number(record["event"]["delay_after_expiry"]),
-                inferred_refresh_time=_number(record["event"]["inferred_refresh_time"]))
+        event = record["event"]
+        if censored != (event is None):
+            raise ValueError("observation must be censored or carry an event, not both")
+        start = _number(record["window_start"])
+        length = _number(record["window_length"])
+        delay = None
+        if event is not None:
+            delay = _number(event["delay_after_expiry"])
+            # the line repeats start + delay; only its range is checked
+            refresh = _number(event["inferred_refresh_time"])
+            if not start - 1e-9 <= refresh <= start + length + 1e-9:
+                raise ValueError("inferred refresh time outside the window")
         observation = RefreshObservation(
             server=_text(record["server"]),
             domain=_text(record["domain"]),
             method=_text(record["method"]),
-            window_start=_number(record["window_start"]),
-            window_length=_number(record["window_length"]),
+            window_start=start,
+            window_length=length,
             probe_rtt_ms=_number(record["probe_rtt_ms"]),
-            censored=censored,
-            event=event)
+            delay=delay)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed observation record: {exc}") from exc
     observation.validate()

@@ -22,7 +22,9 @@ scheduler rather than sleeping internally, so one thread can interleave
 many domains on either a virtual or the real clock. That scheduler is
 _run_machines, at the end of this module: scan runs every scan and
 discovery on it, and discover_max_ttl drives a single machine on it.
-Every machine reports a fault as a CycleError item of the step that met it.
+Every machine reports a fault as a CycleError item of the step that met it,
+and each completed cycle as a RefreshObservation: the watched window and
+the first refresh's delay into it, None when the window is censored.
 
 Each check of that invariant has one home: _exceeds_max,
 _checkpoint_fits, _check_countdown, _window, and the _adopt_max and
@@ -140,18 +142,12 @@ class MaxTtlEstimate:
 
 
 @dataclass(slots=True)
-class RefreshEvent:
-    delay_after_expiry: float
-    inferred_refresh_time: float
-
-
-@dataclass(slots=True)
 class RefreshObservation:
     """One probing cycle's outcome for a domain.
 
-    Exactly one of two shapes: censored (nothing refreshed the record
-    during the watched span before the probe did) or an event carrying
-    the first-refresh delay after expiry. window_start is the expiry
+    delay is the first refresh's delay after window_start, or None when
+    the window is censored: nothing refreshed the record during the
+    watched span before the probe did. window_start is the expiry
     instant being watched (for rd0, the previous probe time).
     """
 
@@ -161,24 +157,19 @@ class RefreshObservation:
     window_start: float
     window_length: float
     probe_rtt_ms: float
-    censored: bool
-    event: RefreshEvent | None = None
+    delay: float | None
+
+    @property
+    def censored(self) -> bool:
+        return self.delay is None
 
     def validate(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if not self.window_length > 0:
             raise ValueError(f"window_length must be positive: {self.window_length}")
-        if self.censored == (self.event is not None):
-            raise ValueError("observation must be censored or carry an event, not both")
-        if self.event is not None:
-            d = self.event.delay_after_expiry
-            if not 0 <= d <= self.window_length + 1e-9:
-                raise ValueError(f"event delay {d} outside window {self.window_length}")
-            rt = self.event.inferred_refresh_time
-            if not (self.window_start - 1e-9 <= rt
-                    <= self.window_start + self.window_length + 1e-9):
-                raise ValueError("inferred refresh time outside the window")
+        if self.delay is not None and not 0 <= self.delay <= self.window_length + 1e-9:
+            raise ValueError(f"event delay {self.delay} outside window {self.window_length}")
 
 
 @dataclass(slots=True)
@@ -501,9 +492,8 @@ class _ProbingMachine:
                  delay: float | None = None) -> None:
         """Record one completed cycle over [start, start + length]:
         censored when delay is None, else an event delay seconds in."""
-        event = None if delay is None else RefreshEvent(delay, start + delay)
         items.append(RefreshObservation(self.server, self.domain, self.method, start,
-                                        length, rtt_ms, event is None, event))
+                                        length, rtt_ms, delay))
         self.cycles_completed += 1
 
     def _adopt_max(self, items: list, at: float, ttl: int) -> bool:

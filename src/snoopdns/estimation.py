@@ -14,7 +14,10 @@ process per domain. Probing yields two kinds of exposure:
   refresh rate directly.
 
 Both reduce to lambda = t / o for t events over o observed seconds,
-with the usual sqrt(lambda / o) standard error.
+with the usual sqrt(lambda / o) standard error. An observation's delay
+is None when its window is censored. Observations come from a probing
+machine or through the log loader, both of which validate them, so
+they are not checked again here.
 """
 
 import csv
@@ -38,42 +41,24 @@ class DomainStats:
     observed_seconds: float = 0.0
     cycles: int = 0
     censored: int = 0
-    malformed: int = 0
 
     def add(self, observation: RefreshObservation) -> None:
-        try:
-            observation.validate()
-        except ValueError:
-            self.malformed += 1
-            return
         self.cycles += 1
-        if observation.method == "rd0":
-            # passive watch: the whole span is exposure either way
-            self.observed_seconds += observation.window_length
-            if observation.censored:
-                self.censored += 1
-            else:
-                self.events += 1
+        if observation.delay is None:
+            self.censored += 1
         else:
-            if observation.censored:
-                self.observed_seconds += observation.window_length
-                self.censored += 1
-            else:
-                self.observed_seconds += observation.event.delay_after_expiry
-                self.events += 1
+            self.events += 1
+        if observation.method == "rd0" or observation.delay is None:
+            # rd0 watches passively: the whole span is exposure either way
+            self.observed_seconds += observation.window_length
+        else:
+            self.observed_seconds += observation.delay
 
 
 def aggregate(observations: Iterable[RefreshObservation]) -> dict[str, DomainStats]:
-    """Fold an observation stream into per-domain exposure tallies.
-
-    Observations failing validation are skipped and counted in the
-    domain's malformed tally; anything that is not an observation
-    (per-cycle error annotations, say) is ignored.
-    """
+    """Fold an observation stream into per-domain exposure tallies."""
     stats: dict[str, DomainStats] = {}
     for observation in observations:
-        if not isinstance(observation, RefreshObservation):
-            continue
         per = stats.get(observation.domain)
         if per is None:
             per = stats[observation.domain] = DomainStats(domain=observation.domain)

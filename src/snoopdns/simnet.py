@@ -172,7 +172,6 @@ class EventLog(Sequence):
 
 @dataclass
 class _CacheEntry:
-    refreshed_at: float
     expires_at: float
     max_ttl: int
     generation: int = 0
@@ -406,11 +405,10 @@ class Sim:
         max_ttl = self._cache_ttl_for(zone)
         entry = self.cache.get(domain)
         if entry is None:
-            entry = _CacheEntry(refreshed_at=at, expires_at=at + max_ttl, max_ttl=max_ttl)
+            entry = _CacheEntry(expires_at=at + max_ttl, max_ttl=max_ttl)
             self.cache[domain] = entry
         else:
             entry.generation += 1
-            entry.refreshed_at = at
             entry.expires_at = at + max_ttl
             entry.max_ttl = max_ttl
         self.log.append(at, "cache_refresh", domain, cause)
@@ -521,8 +519,9 @@ def _encode_reply(query: wire.DnsQuery, response: wire.DnsResponse) -> bytes:
     # called through the module so that a tracer patching it sees every reply
     return wire.encode_response(
         query.id, wire.DnsQuestion(query.qname, query.qtype, query.qclass),
-        response.answers, response.rcode, response.recursion_available,
-        False, False, query.recursion_desired)
+        response.answers, rcode=response.rcode,
+        recursion_available=response.recursion_available,
+        recursion_desired=query.recursion_desired)
 
 
 class SimExchange:

@@ -32,7 +32,6 @@ QUESTION_TAIL = struct.Struct(">HH")  # qtype, qclass
 RECORD_FIXED = struct.Struct(">HHIH")  # rtype, class, ttl, rdlength
 
 FLAG_QR = 0x8000
-FLAG_AA = 0x0400
 FLAG_TC = 0x0200
 FLAG_RD = 0x0100
 FLAG_RA = 0x0080
@@ -167,7 +166,6 @@ class DnsResponse:
     rcode: int
     recursion_available: bool
     answers: list[ResourceRecord] = field(default_factory=list)
-    authoritative: bool = False
     truncated: bool = False
     question: DnsQuestion | None = None
     is_response: bool = True  # the QR bit
@@ -193,14 +191,11 @@ def encode_response(
     answers: list[ResourceRecord],
     rcode: int = Rcode.NOERROR,
     recursion_available: bool = True,
-    authoritative: bool = False,
     truncated: bool = False,
     recursion_desired: bool = False,
 ) -> bytes:
     """Encode a response packet (server side); names are not compressed."""
     flags = FLAG_QR | (rcode & 0x000F)
-    if authoritative:
-        flags |= FLAG_AA
     if truncated:
         flags |= FLAG_TC
     if recursion_desired:
@@ -364,8 +359,7 @@ def decode_response(packet: bytes) -> DnsResponse:
     # Per-probe records are built positionally: keyword arguments make
     # a dataclass __init__ call several times slower.
     return DnsResponse(qid, flags & 0x000F, bool(flags & FLAG_RA), answers,
-                       bool(flags & FLAG_AA), bool(flags & FLAG_TC), question,
-                       bool(flags & FLAG_QR))
+                       bool(flags & FLAG_TC), question, bool(flags & FLAG_QR))
 
 
 def decode_query(packet: bytes) -> DnsQuery:

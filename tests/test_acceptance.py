@@ -16,9 +16,9 @@ import pytest
 from snoopdns import cli
 from snoopdns.clock import VirtualClock
 from snoopdns.corpus import load_observations
-from snoopdns.engine import (InsufficientSeparation, RefreshEvent,
-                             RefreshObservation, SnoopError, calibrate_timing,
-                             check_rd_behavior, classify_timing, discover_max_ttl)
+from snoopdns.engine import (InsufficientSeparation, RefreshObservation, SnoopError,
+                             calibrate_timing, check_rd_behavior, classify_timing,
+                             discover_max_ttl)
 from snoopdns.estimation import aggregate, estimate, rank_domains, write_ranking_csv
 from snoopdns.scan import run_batch, run_scan
 from snoopdns.simnet import SimExchange, build_sim, config_from_dict, serve_udp
@@ -121,9 +121,7 @@ def test_reported_period_and_interval_match_the_formulas():
     observations = [
         RefreshObservation(server="s", domain="busy.example", method="ttl_recursive",
                            window_start=300.0 * i, window_length=300.0,
-                           probe_rtt_ms=1.0, censored=False,
-                           event=RefreshEvent(delay_after_expiry=150.0,
-                                              inferred_refresh_time=300.0 * i + 150.0))
+                           probe_rtt_ms=1.0, delay=150.0)
         for i in range(3000)
     ]
     est = estimate(aggregate(observations)["busy.example"])

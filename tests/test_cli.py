@@ -11,7 +11,7 @@ import pytest
 
 from snoopdns import cli
 from snoopdns.corpus import ObservationWriter
-from snoopdns.engine import RefreshEvent, RefreshObservation
+from snoopdns.engine import RefreshObservation
 
 
 def scenario_file(tmp_path, **overrides):
@@ -42,16 +42,11 @@ def observation_log(tmp_path, domains, per_domain=5, name="log.jsonl", server="s
         writer = ObservationWriter(handle, "test-log")
         for rank, domain in enumerate(domains):
             for i in range(per_domain):
-                start = 60.0 * i
-                event = None
                 censored = rank > 0 or i % 2 == 0
-                if not censored:
-                    event = RefreshEvent(delay_after_expiry=10.0 * (rank + 1),
-                                         inferred_refresh_time=start + 10.0)
                 writer.write(RefreshObservation(
                     server=server, domain=domain, method=method,
-                    window_start=start, window_length=60.0, probe_rtt_ms=1.0,
-                    censored=censored, event=event))
+                    window_start=60.0 * i, window_length=60.0, probe_rtt_ms=1.0,
+                    delay=None if censored else 10.0 * (rank + 1)))
     return str(path)
 
 
@@ -190,7 +185,51 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "aborted a.test: probe interval 100s" in err
         assert "aborted b.test: probe interval 100s" in err
-        assert err.endswith("error: every domain failed discovery or was aborted\n")
+        assert err.endswith("error: the scan recorded no observation\n")
+
+    def test_snoop_exits_2_when_the_resolver_never_answers(self, tmp_path, capsys):
+        path = tmp_path / "maxttls.json"
+        path.write_text(json.dumps({"a.test": 60}))
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as server:
+            server.bind(("127.0.0.1", 0))
+            port = server.getsockname()[1]
+            assert cli.main(["snoop", "--server", f"127.0.0.1:{port}", "--domains", "a.test",
+                             "--max-ttls", str(path), "--method", "rd0",
+                             "--probe-interval", "0.2", "--timeout", "0.1", "--cycles", "1",
+                             "--out", str(tmp_path / "log.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert "0 observations, 3 annotations" in err
+        assert err.endswith("error: the scan recorded no observation\n")
+
+    def test_an_invalid_domains_entry_is_a_usage_error_before_any_probe(self, monkeypatch,
+                                                                        capsys):
+        monkeypatch.setattr(cli, "_make_prober", lambda *args: pytest.fail("probed"))
+        assert cli.main(["snoop", "--server", "127.0.0.1", "--domains", "ok.test,a..test",
+                         "--cycles", "1"]) == 1
+        assert ("error: --domains entry 'a..test' is not a domain name: empty label"
+                in capsys.readouterr().err)
+
+    def test_a_max_ttls_entry_that_is_no_name_is_a_usage_error_before_any_probe(
+            self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "maxttls.json"
+        path.write_text(json.dumps({"a.test": 60, "a..b": 60}))
+        monkeypatch.setattr(cli, "_make_prober", lambda *args: pytest.fail("probed"))
+        assert cli.main(["snoop", "--server", "127.0.0.1", "--domains", "a.test",
+                         "--cycles", "1", "--max-ttls", str(path)]) == 1
+        assert ("error: --max-ttls entry for 'a..b' is not a domain name: empty label"
+                in capsys.readouterr().err)
+
+    def test_names_skipped_in_a_domain_file_are_counted_on_stderr(self, tmp_path,
+                                                                 monkeypatch, capsys):
+        # a headerless rank,domain export holds no valid name on any line
+        path = tmp_path / "top.csv"
+        path.write_text("1,example.com\n2,example.org\n")
+        monkeypatch.setattr(cli, "_make_prober", lambda *args: pytest.fail("probed"))
+        assert cli.main(["snoop", "--server", "127.0.0.1", "--domain-file", str(path),
+                         "--cycles", "1"]) == 1
+        err = capsys.readouterr().err
+        assert f"skipped 2 invalid or repeated names in {path}\n" in err
+        assert err.endswith("error: no domains given; use --domains or --domain-file\n")
 
     @pytest.mark.parametrize("top", [["--top", "-1"], ["--top=-5"]])
     def test_a_negative_top_is_a_usage_error_before_any_log_is_read(
@@ -313,7 +352,7 @@ class TestSimulateCommand:
                          "--method", "rd0", "--probe-interval", "1000"]) == 2
         err = capsys.readouterr().err
         assert "aborted alpha.test: probe interval 1000s exceeds the maximum TTL 60s" in err
-        assert err.endswith("error: every domain failed discovery or was aborted\n")
+        assert err.endswith("error: the scan recorded no observation\n")
 
     def test_a_scan_that_keeps_one_domain_exits_0(self, tmp_path, capsys):
         scenario = scenario_file(tmp_path, zones={

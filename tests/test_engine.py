@@ -252,9 +252,9 @@ class TestRunCycleTtlRecursive:
         clock.sleep_until(600.0)
         _, [observation] = machine.step(clock.now())
         assert observation.censored is False
-        assert observation.event.delay_after_expiry == pytest.approx(120.0)
+        assert observation.delay == pytest.approx(120.0)
         assert observation.window_length == pytest.approx(300.0)
-        assert observation.event.inferred_refresh_time == pytest.approx(420.0)
+        assert observation.window_start + observation.delay == pytest.approx(420.0)
 
     def test_untouched_window_is_censored(self, scripted):
         prober, clock, _ = scripted([300, 2, 299])
@@ -264,7 +264,7 @@ class TestRunCycleTtlRecursive:
         clock.sleep_until(machine.step(clock.now())[0])
         _, [observation] = machine.step(clock.now())
         assert observation.censored is True
-        assert observation.event is None
+        assert observation.delay is None
 
     def test_read_above_max_raises(self, scripted):
         prober, clock, _ = scripted([300, 2, 320])
@@ -329,7 +329,7 @@ class TestSnoopDomainTtlRecursive:
         assert len(observations) >= 20
         assert len(events) >= 5
         for o in events:
-            assert 0 <= o.event.delay_after_expiry <= o.window_length + 1e-9
+            assert 0 <= o.delay <= o.window_length + 1e-9
 
     def test_duration_budget_drops_the_unfinished_cycle(self):
         prober, clock, _ = sim_prober(quiet_zone(ttl=60))
@@ -367,7 +367,7 @@ class TestSnoopDomainTtlRecursive:
         assert len(result.observations) == 1
         # window re-armed from the 330 read: expiry 600+330=930, probe at 1230
         # reads 150, so the delay is 300 - (330 - 150) = 120
-        assert result.observations[0].event.delay_after_expiry == pytest.approx(120.0)
+        assert result.observations[0].delay == pytest.approx(120.0)
 
     def test_timeouts_are_annotated_and_survivable(self, scripted):
         script = [60, 2, "timeout", 60, 2, 30]
@@ -375,7 +375,7 @@ class TestSnoopDomainTtlRecursive:
         result = scan_a(prober, clock, "ttl_recursive", 60, max_cycles=1)
         assert [e.kind for e in result.errors] == ["timeout"]
         assert len(result.observations) == 1
-        assert result.observations[0].event.delay_after_expiry == pytest.approx(30.0)
+        assert result.observations[0].delay == pytest.approx(30.0)
 
     def test_repeated_timeouts_end_the_domain(self, scripted):
         prober, clock, _ = scripted([60, 2, "timeout", "timeout", "timeout"])
@@ -405,8 +405,8 @@ class TestRd0Machine:
         clock.sleep_until(300.0)
         _, [third] = machine.step(clock.now())
         assert third.censored is False
-        assert third.event.inferred_refresh_time == pytest.approx(260.0)
-        assert third.event.delay_after_expiry == pytest.approx(110.0)
+        assert third.window_start + third.delay == pytest.approx(260.0)
+        assert third.delay == pytest.approx(110.0)
 
     def test_close_refresh_readings_deduplicate_to_one_event(self, scripted):
         # refresh at 1s seen by probes at 10 and 20: one event total
@@ -440,7 +440,7 @@ class TestRd0Machine:
         _, [second] = machine.step(clock.now())
         # below the detection threshold a full-TTL reading is still a
         # dateable refresh, so it must count as an event, not vanish
-        assert second.event is not None
+        assert second.delay is not None
         clock.sleep_until(300.0)
         _, [error] = machine.step(clock.now())
         assert error.kind == "rd_not_honored"
@@ -521,7 +521,7 @@ class TestRd0Machine:
         prober, clock, _ = sim_prober(config, seed_salt=salt)
         result = scan_a(prober, clock, "rd0", 60, duration=8 * 3600.0)
         assert result.aborted == {}
-        events = [o for o in result.observations if o.event is not None]
+        events = [o for o in result.observations if o.delay is not None]
         assert len(events) > 50  # the traffic itself was seen
 
     def test_probe_interval_validation(self, scripted):
@@ -661,7 +661,7 @@ class TestTimingMachine:
                               max_cycles=1).observations
         assert len(observations) == 1
         assert observations[0].censored is False
-        assert observations[0].event.delay_after_expiry == pytest.approx(30.0)
+        assert observations[0].delay == pytest.approx(30.0)
 
     def test_abstentions_discard_the_cycle(self, scripted):
         script = [(60, 50.0), (59, 30.0), (60, 50.0)]
@@ -691,32 +691,21 @@ class TestObservationValidation:
     def test_event_outside_window_rejected(self):
         observation = RefreshObservation(
             server="s", domain="d", method="rd0", window_start=0.0,
-            window_length=10.0, probe_rtt_ms=1.0, censored=False,
-            event=engine.RefreshEvent(delay_after_expiry=11.0,
-                                      inferred_refresh_time=11.0))
-        with pytest.raises(ValueError):
-            observation.validate()
-
-    def test_censored_with_event_rejected(self):
-        observation = RefreshObservation(
-            server="s", domain="d", method="rd0", window_start=0.0,
-            window_length=10.0, probe_rtt_ms=1.0, censored=True,
-            event=engine.RefreshEvent(0.0, 0.0))
+            window_length=10.0, probe_rtt_ms=1.0, delay=11.0)
         with pytest.raises(ValueError):
             observation.validate()
 
     def test_unknown_method_rejected(self):
         observation = RefreshObservation(
             server="s", domain="d", method="osmosis", window_start=0.0,
-            window_length=10.0, probe_rtt_ms=1.0, censored=True)
+            window_length=10.0, probe_rtt_ms=1.0, delay=None)
         with pytest.raises(ValueError):
             observation.validate()
 
     def test_good_observations_pass(self):
         RefreshObservation(server="s", domain="d", method="ttl_recursive",
                            window_start=5.0, window_length=10.0,
-                           probe_rtt_ms=1.0, censored=True).validate()
+                           probe_rtt_ms=1.0, delay=None).validate()
         RefreshObservation(server="s", domain="d", method="ttl_recursive",
                            window_start=5.0, window_length=10.0,
-                           probe_rtt_ms=1.0, censored=False,
-                           event=engine.RefreshEvent(3.0, 8.0)).validate()
+                           probe_rtt_ms=1.0, delay=3.0).validate()
