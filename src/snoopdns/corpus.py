@@ -38,25 +38,24 @@ class ResolverUnreachable(SnoopError):
 def load_domain_list(path: str) -> tuple[list[str], int]:
     """Read a domain list as (names, skipped).
 
-    When the first non-blank line is a CSV header with a domain cell,
-    that column holds the names, and rows whose cells are all blank are
-    passed over. Otherwise the file holds one name per line, with blank
-    lines and # comments ignored. Each name is validated and normalized;
+    Blank lines and # comments are ignored. When the first other line
+    is a CSV header with a domain cell, that column holds the names, and
+    rows whose cells are all blank are passed over; otherwise the file
+    holds one name per line. Each name is validated and normalized;
     invalid names and repeats are skipped and counted, and a repeat
     keeps its first place.
     """
     with open(path, "r", encoding="utf-8", errors="replace") as handle:
-        lines = handle.read().splitlines()
-    first = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
-    rows = csv.reader(lines[first:])
+        lines = [line for line in handle.read().splitlines()
+                 if line.strip()[:1] not in ("", "#")]
+    rows = csv.reader(lines)
     header = [cell.strip().strip('"').lower() for cell in next(rows, [])]
+    raw = lines
     if "domain" in header:
         column = header.index("domain")
         # a row too short to reach the column holds the empty, invalid name
         raw = (row[column] if column < len(row) else ""
                for row in rows if any(cell.strip() for cell in row))
-    else:
-        raw = (line for line in lines if line.strip() and not line.strip().startswith("#"))
     names: dict[str, None] = {}
     skipped = 0
     for text in raw:

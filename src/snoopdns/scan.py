@@ -128,15 +128,9 @@ def run_scan(prober: Prober, clock: Clock, server: str, domains: list[str], *,
 def true_client_rates(config: SimConfig) -> dict[str, float]:
     """Ground-truth client query rate per domain from a scenario."""
     rates: dict[str, float] = {name: 0.0 for name in config.zones}
-    for client in config.clients:
-        process = client.process
-        if process.kind == "poisson":
-            add = process.rate
-        elif process.kind == "periodic":
-            add = 1.0 / process.interval if process.interval > 0 else 0.0
-        else:
-            add = 0.0
-        rates[client.domain] = rates.get(client.domain, 0.0) + add
+    for domain, kind, value in config.clients:
+        # a none population's value is 0.0
+        rates[domain] = rates.get(domain, 0.0) + (1.0 / value if kind == "periodic" else value)
     return rates
 
 
@@ -181,7 +175,7 @@ def run_batch(config: SimConfig | dict, *, duration: float,
         prober.limiter = RateLimiter(rate_qps, clock)
     server = "sim"
 
-    domains = sorted({c.domain for c in config.clients} or set(config.zones))
+    domains = sorted({domain for domain, _, _ in config.clients} or set(config.zones))
     discovery, discovery_failed = discover_all(
         prober, clock, server, domains, required_confirmations=required_confirmations)
     scannable = [d for d in domains if d in discovery]

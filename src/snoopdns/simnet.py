@@ -19,14 +19,15 @@ A "client_query" log entry is therefore a lookup that filled or
 prefetched the cache for Poisson populations, and every lookup for
 periodic ones.
 
-Resolver behaviors under test:
-  rd_policy    honor: non-recursive queries never populate the cache;
-               ignore: the server recurses regardless of the RD bit.
-  ttl_policy   respect_authoritative, or override with the resolver's
-               own maximum TTL.
-  anomaly      pre_refresh(low, high): the server re-fetches a record
-               when its remaining TTL falls inside [low, high], so the
-               cache never empties on its own.
+Resolver behaviors under test, each one SimConfig value that is None
+(True for honors_rd0) on a plain resolver:
+  honors_rd0     rd_policy honor: non-recursive queries never populate
+                 the cache; ignore: the server recurses regardless.
+  ttl_cap        ttl_policy override: every record is cached with the
+                 resolver's own maximum TTL instead of the zone's.
+  prefetch_band  anomaly pre_refresh (low, high): the server re-fetches
+                 a record when its remaining TTL falls inside [low,
+                 high], so the cache never empties on its own.
 """
 
 import heapq
@@ -34,6 +35,7 @@ import json
 import random
 import socket
 import struct
+import sys
 import threading
 import time as _time
 from collections.abc import Iterator, Sequence
@@ -50,10 +52,6 @@ class ConfigError(ValueError):
     """Scenario configuration is structurally or semantically invalid."""
 
 
-class BindError(OSError):
-    """UDP endpoint could not be bound."""
-
-
 @dataclass(frozen=True)
 class ZoneRecord:
     address: str
@@ -65,57 +63,35 @@ class ZoneRecord:
         return socket.inet_aton(self.address)
 
 
-@dataclass(frozen=True)
-class TtlPolicy:
-    mode: str = "respect_authoritative"  # or "override"
-    max_ttl: int = 0
-
-
-@dataclass(frozen=True)
-class Anomaly:
-    kind: str = "none"  # or "pre_refresh"
-    remaining_low: float = 0.0
-    remaining_high: float = 0.0
-
-
-@dataclass(frozen=True)
-class ClientProcess:
-    kind: str  # "poisson" | "periodic" | "none"
-    rate: float = 0.0      # arrivals per second, poisson
-    interval: float = 0.0  # seconds between arrivals, periodic
-
-
-@dataclass(frozen=True)
-class ClientPopulation:
-    domain: str
-    process: ClientProcess
-    label: str = ""
-
-
-@dataclass(frozen=True)
-class RttModel:
-    """Gaussian response-time model in milliseconds.
-
-    A cache hit costs one cached draw; a recursive fetch additionally
-    pays the recursion draw. Draws are floored at 0.1 ms.
-    """
-
-    cached_mean: float = 5.0
-    cached_jitter: float = 1.0
-    recursion_extra_mean: float = 50.0
-    recursion_jitter: float = 5.0
-
-
 @dataclass
 class SimConfig:
+    """A validated scenario; each resolver behavior is one plain value.
+
+    zones          domain -> ZoneRecord, the authoritative data
+    honors_rd0     False when the server recurses regardless of the RD bit
+    ttl_cap        the TTL every record is cached with, else None: each
+                   zone's own TTL
+    prefetch_band  (low, high): the server re-fetches a cached record when
+                   its remaining TTL falls inside it, else None
+    clients        (domain, kind, value) per population in listed order;
+                   value is the rate (lookups/s) for poisson, the interval
+                   (s) for periodic and 0.0 for none
+    cached_rtt     (mean, jitter) in ms of a cache hit's Gaussian RTT
+    recursion_rtt  (mean, jitter) in ms that a recursive fetch adds; each
+                   RTT is floored at RTT_FLOOR_MS
+    seed           seeds the simulator's random draws
+    clock_mode     virtual, or realtime: Sim.advance refuses to run
+    """
+
     zones: dict[str, ZoneRecord]
-    rd_policy: str = "honor"  # or "ignore"
-    ttl_policy: TtlPolicy = field(default_factory=TtlPolicy)
-    anomaly: Anomaly = field(default_factory=Anomaly)
-    clients: list[ClientPopulation] = field(default_factory=list)
-    rtt_model: RttModel = field(default_factory=RttModel)
+    honors_rd0: bool = True
+    ttl_cap: int | None = None
+    prefetch_band: tuple[float, float] | None = None
+    clients: list[tuple[str, str, float]] = field(default_factory=list)
+    cached_rtt: tuple[float, float] = (5.0, 1.0)
+    recursion_rtt: tuple[float, float] = (50.0, 5.0)
     seed: int = 0
-    clock_mode: str = "virtual"  # or "realtime"
+    clock_mode: str = "virtual"
 
 
 class SimEvent(NamedTuple):
@@ -183,13 +159,21 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _check_keys(mapping: dict, allowed: set[str], where: str) -> None:
+    _require(isinstance(mapping, dict), f"{where} must be a JSON object")
     unknown = set(mapping) - allowed
     _require(not unknown, f"unknown fields in {where}: {sorted(unknown)}")
 
 
+def _number(mapping: dict, key: str, default: float, where: str) -> float:
+    """mapping[key] as a float: a finite JSON number, which a bool is not."""
+    value = mapping.get(key, default)
+    _require(type(value) in (int, float) and abs(value) <= sys.float_info.max,
+             f"{where}.{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def config_from_dict(raw: dict) -> SimConfig:
     """Build and validate a SimConfig from plain JSON-style data."""
-    _require(isinstance(raw, dict), "scenario must be a JSON object")
     _check_keys(raw, {"zones", "rd_policy", "ttl_policy", "anomaly", "clients",
                       "rtt_model", "seed", "clock_mode"}, "scenario")
     zones_raw = raw.get("zones", {})
@@ -202,89 +186,82 @@ def config_from_dict(raw: dict) -> SimConfig:
             raise ConfigError(f"zone name {name!r}: {exc}") from exc
         _check_keys(rec, {"address", "ttl"}, f"zone {name!r}")
         ttl = rec.get("ttl")
-        _require(isinstance(ttl, int) and 0 < ttl <= wire.MAX_TTL,
+        _require(type(ttl) is int and 0 < ttl <= wire.MAX_TTL,
                  f"zone {name!r}: ttl must be a positive integer, got {ttl!r}")
         address = rec.get("address", "192.0.2.1")
         try:
             socket.inet_aton(address)
-        except OSError as exc:
+        except (OSError, TypeError) as exc:  # TypeError: not a string
             raise ConfigError(f"zone {name!r}: bad address {address!r}") from exc
         zones[norm] = ZoneRecord(address=address, ttl=ttl)
 
     rd_policy = raw.get("rd_policy", "honor")
     _require(rd_policy in ("honor", "ignore"), f"rd_policy must be honor or ignore, got {rd_policy!r}")
 
-    ttl_raw = raw.get("ttl_policy", {"mode": "respect_authoritative"})
+    ttl_raw = raw.get("ttl_policy", {})
     _check_keys(ttl_raw, {"mode", "max_ttl"}, "ttl_policy")
     mode = ttl_raw.get("mode", "respect_authoritative")
     _require(mode in ("respect_authoritative", "override"),
              f"ttl_policy.mode must be respect_authoritative or override, got {mode!r}")
-    max_ttl = ttl_raw.get("max_ttl", 0)
-    if mode == "override":
-        _require(isinstance(max_ttl, int) and 0 < max_ttl <= wire.MAX_TTL,
-                 f"ttl_policy.max_ttl must be a positive integer, got {max_ttl!r}")
-    ttl_policy = TtlPolicy(mode=mode, max_ttl=max_ttl)
+    ttl_cap = ttl_raw.get("max_ttl", 0) if mode == "override" else None
+    _require(ttl_cap is None or (type(ttl_cap) is int and 0 < ttl_cap <= wire.MAX_TTL),
+             f"ttl_policy.max_ttl must be a positive integer, got {ttl_cap!r}")
 
-    anomaly_raw = raw.get("anomaly", {"kind": "none"})
+    anomaly_raw = raw.get("anomaly", {})
     _check_keys(anomaly_raw, {"kind", "remaining_low", "remaining_high"}, "anomaly")
     kind = anomaly_raw.get("kind", "none")
     _require(kind in ("none", "pre_refresh"), f"anomaly.kind must be none or pre_refresh, got {kind!r}")
-    low = float(anomaly_raw.get("remaining_low", 0.0))
-    high = float(anomaly_raw.get("remaining_high", 0.0))
+    low = _number(anomaly_raw, "remaining_low", 0.0, "anomaly")
+    high = _number(anomaly_raw, "remaining_high", 0.0, "anomaly")
+    prefetch_band = None
     if kind == "pre_refresh":
         _require(0 < low <= high, f"anomaly window must satisfy 0 < low <= high, got [{low}, {high}]")
-    anomaly = Anomaly(kind=kind, remaining_low=low, remaining_high=high)
+        prefetch_band = (low, high)
 
-    clients: list[ClientPopulation] = []
-    for i, cl in enumerate(raw.get("clients", [])):
+    clients_raw = raw.get("clients", [])
+    _require(isinstance(clients_raw, list), "clients must be a list of populations")
+    clients: list[tuple[str, str, float]] = []
+    for i, cl in enumerate(clients_raw):
         _check_keys(cl, {"domain", "process", "label"}, f"clients[{i}]")
         _require("domain" in cl, f"clients[{i}]: missing domain")
-        domain = wire.normalize_name(cl["domain"])
-        proc_raw = cl.get("process", {"kind": "none"})
+        domain = cl["domain"]
+        _require(isinstance(domain, str), f"clients[{i}]: domain must be a string, got {domain!r}")
+        proc_raw = cl.get("process", {})
         _check_keys(proc_raw, {"kind", "rate", "interval"}, f"clients[{i}].process")
         pkind = proc_raw.get("kind", "none")
         _require(pkind in ("poisson", "periodic", "none"),
                  f"clients[{i}].process.kind must be poisson, periodic or none, got {pkind!r}")
-        rate = float(proc_raw.get("rate", 0.0))
-        interval = float(proc_raw.get("interval", 0.0))
+        rate = _number(proc_raw, "rate", 0.0, f"clients[{i}].process")
+        interval = _number(proc_raw, "interval", 0.0, f"clients[{i}].process")
         if pkind == "poisson":
             _require(rate >= 0, f"clients[{i}]: poisson rate must be >= 0, got {rate}")
         if pkind == "periodic":
             _require(interval > 0, f"clients[{i}]: periodic interval must be > 0, got {interval}")
-        clients.append(ClientPopulation(
-            domain=domain,
-            process=ClientProcess(kind=pkind, rate=rate, interval=interval),
-            label=cl.get("label", ""),
-        ))
+        value = {"poisson": rate, "periodic": interval}.get(pkind, 0.0)
+        clients.append((wire.normalize_name(domain), pkind, value))
 
     rtt_raw = raw.get("rtt_model", {})
     _check_keys(rtt_raw, {"cached_mean", "cached_jitter", "recursion_extra_mean",
                           "recursion_jitter"}, "rtt_model")
-    rtt_model = RttModel(
-        cached_mean=float(rtt_raw.get("cached_mean", 5.0)),
-        cached_jitter=float(rtt_raw.get("cached_jitter", 1.0)),
-        recursion_extra_mean=float(rtt_raw.get("recursion_extra_mean", 50.0)),
-        recursion_jitter=float(rtt_raw.get("recursion_jitter", 5.0)),
-    )
-    for label, value in (("cached_mean", rtt_model.cached_mean),
-                         ("cached_jitter", rtt_model.cached_jitter),
-                         ("recursion_extra_mean", rtt_model.recursion_extra_mean),
-                         ("recursion_jitter", rtt_model.recursion_jitter)):
-        _require(value >= 0, f"rtt_model.{label} must be >= 0, got {value}")
+    rtt = []
+    for key, default in (("cached_mean", 5.0), ("cached_jitter", 1.0),
+                         ("recursion_extra_mean", 50.0), ("recursion_jitter", 5.0)):
+        rtt.append(_number(rtt_raw, key, default, "rtt_model"))
+        _require(rtt[-1] >= 0, f"rtt_model.{key} must be >= 0, got {rtt[-1]}")
 
     seed = raw.get("seed", 0)
-    _require(isinstance(seed, int), f"seed must be an integer, got {seed!r}")
+    _require(type(seed) is int, f"seed must be an integer, got {seed!r}")
     clock_mode = raw.get("clock_mode", "virtual")
     _require(clock_mode in ("virtual", "realtime"),
              f"clock_mode must be virtual or realtime, got {clock_mode!r}")
 
-    config = SimConfig(zones=zones, rd_policy=rd_policy, ttl_policy=ttl_policy,
-                       anomaly=anomaly, clients=clients, rtt_model=rtt_model,
-                       seed=seed, clock_mode=clock_mode)
-    for cl in clients:
-        _require(_zone_for(zones, cl.domain) is not None,
-                 f"client population for {cl.domain!r} has no matching zone")
-    return config
+    for domain, _, _ in clients:
+        _require(_zone_for(zones, domain) is not None,
+                 f"client population for {domain!r} has no matching zone")
+    return SimConfig(zones=zones, honors_rd0=rd_policy == "honor", ttl_cap=ttl_cap,
+                     prefetch_band=prefetch_band, clients=clients,
+                     cached_rtt=(rtt[0], rtt[1]), recursion_rtt=(rtt[2], rtt[3]),
+                     seed=seed, clock_mode=clock_mode)
 
 
 def load_scenario(path: str) -> dict:
@@ -334,13 +311,11 @@ class Sim:
         self._seq = 0
         # merged Poisson lookup rate per domain
         self._poisson_rate: dict[str, float] = {}
-        for index, population in enumerate(config.clients):
-            process = population.process
-            if process.kind == "periodic":
-                self._schedule(self.time + process.interval, "arrival", index)
-            elif process.kind == "poisson" and process.rate > 0:
-                self._poisson_rate[population.domain] = (
-                    self._poisson_rate.get(population.domain, 0.0) + process.rate)
+        for index, (domain, kind, value) in enumerate(config.clients):
+            if kind == "periodic":
+                self._schedule(self.time + value, "arrival", index)
+            elif kind == "poisson" and value > 0:
+                self._poisson_rate[domain] = self._poisson_rate.get(domain, 0.0) + value
         for domain, rate in self._poisson_rate.items():
             # the cache starts empty: the first lookup fills it
             self._schedule(self.time + self.rng.expovariate(rate), "lookup", (domain, -1))
@@ -361,9 +336,9 @@ class Sim:
         while self._heap and self._heap[0][0] <= t:
             at, _, kind, payload = heapq.heappop(self._heap)
             if kind == "arrival":
-                population = self.config.clients[payload]
-                self._client_lookup(at, population.domain)
-                self._schedule(at + population.process.interval, "arrival", payload)
+                domain, _, interval = self.config.clients[payload]
+                self._client_lookup(at, domain)
+                self._schedule(at + interval, "arrival", payload)
             elif kind == "lookup":
                 domain, generation = payload
                 if self._is_current(domain, generation):
@@ -396,13 +371,8 @@ class Sim:
 
     # -- cache model ---------------------------------------------------
 
-    def _cache_ttl_for(self, zone: ZoneRecord) -> int:
-        if self.config.ttl_policy.mode == "override":
-            return self.config.ttl_policy.max_ttl
-        return zone.ttl
-
     def _refresh(self, domain: str, zone: ZoneRecord, at: float, cause: str) -> None:
-        max_ttl = self._cache_ttl_for(zone)
+        max_ttl = zone.ttl if self.config.ttl_cap is None else self.config.ttl_cap
         entry = self.cache.get(domain)
         if entry is None:
             entry = _CacheEntry(expires_at=at + max_ttl, max_ttl=max_ttl)
@@ -418,17 +388,15 @@ class Sim:
             # first Poisson lookup after expiry; stale once the cache refreshes
             self._schedule(entry.expires_at + self.rng.expovariate(rate), "lookup",
                            (domain, entry.generation))
-        anomaly = self.config.anomaly
-        if anomaly.kind == "pre_refresh":
-            lead = self.rng.uniform(anomaly.remaining_low, anomaly.remaining_high)
-            prefetch_at = entry.expires_at - lead
+        if self.config.prefetch_band is not None:
+            low, high = self.config.prefetch_band
+            prefetch_at = entry.expires_at - self.rng.uniform(low, high)
             if prefetch_at > at:
                 self._schedule(prefetch_at, "prefetch", (domain, entry.generation))
             if rate:
                 # first Poisson lookup inside the band, if it comes before the band ends
-                lookup_at = (max(at, entry.expires_at - anomaly.remaining_high)
-                             + self.rng.expovariate(rate))
-                if lookup_at <= entry.expires_at - anomaly.remaining_low:
+                lookup_at = max(at, entry.expires_at - high) + self.rng.expovariate(rate)
+                if lookup_at <= entry.expires_at - low:
                     self._schedule(lookup_at, "lookup", (domain, entry.generation))
 
     def _remaining(self, domain: str, at: float) -> float:
@@ -440,9 +408,8 @@ class Sim:
     def _prefetches_at(self, remaining: float) -> bool:
         """Whether a query that finds `remaining` seconds of TTL makes a
         pre_refresh server refill the record ahead of expiry."""
-        anomaly = self.config.anomaly
-        return (remaining > 0 and anomaly.kind == "pre_refresh"
-                and anomaly.remaining_low <= remaining <= anomaly.remaining_high)
+        band = self.config.prefetch_band
+        return remaining > 0 and band is not None and band[0] <= remaining <= band[1]
 
     def _client_lookup(self, at: float, domain: str) -> None:
         self.log.append(at, "client_query", domain)
@@ -456,13 +423,11 @@ class Sim:
     # -- RTT draws -----------------------------------------------------
 
     def _rtt_cached(self) -> float:
-        m = self.config.rtt_model
-        return max(RTT_FLOOR_MS, self.rng.gauss(m.cached_mean, m.cached_jitter))
+        return max(RTT_FLOOR_MS, self.rng.gauss(*self.config.cached_rtt))
 
     def _rtt_recursive(self) -> float:
-        m = self.config.rtt_model
-        draw = (self.rng.gauss(m.cached_mean, m.cached_jitter)
-                + self.rng.gauss(m.recursion_extra_mean, m.recursion_jitter))
+        draw = (self.rng.gauss(*self.config.cached_rtt)
+                + self.rng.gauss(*self.config.recursion_rtt))
         return max(RTT_FLOOR_MS, draw)
 
     # -- the externally visible query path -----------------------------
@@ -492,7 +457,7 @@ class Sim:
 
         if remaining > 0:
             answer_ttl, rtt = int(remaining), self._rtt_cached()
-        elif not query.recursion_desired and self.config.rd_policy == "honor":
+        elif not query.recursion_desired and self.config.honors_rd0:
             # Honest server: no recursion on RD=0, nothing to answer.
             return wire.DnsResponse(query.id, wire.Rcode.NOERROR, True), self._rtt_cached()
         else:
@@ -564,7 +529,7 @@ class UdpSimServer:
             self._sock.bind((host, port))
         except OSError as exc:
             self._sock.close()
-            raise BindError(f"cannot bind {host}:{port}: {exc}") from exc
+            raise OSError(f"cannot bind {host}:{port}: {exc}") from exc
         self.host, self.port = self._sock.getsockname()
         self.address = f"{self.host}:{self.port}"
         self._stopped = threading.Event()

@@ -49,6 +49,16 @@ class TestDomainLists:
         path.write_text("\n  \nrank,Domain\n1,example.com\n\n2,example.org\n3,\n")
         assert load_domain_list(str(path)) == (["example.com", "example.org"], 1)
 
+    def test_a_comment_naming_a_domain_column_is_no_header(self, tmp_path):
+        path = tmp_path / "list"
+        path.write_text("# columns: rank,domain\nexample.com\nexample.org\n")
+        assert load_domain_list(str(path)) == (["example.com", "example.org"], 0)
+
+    def test_a_csv_header_after_comment_lines_is_still_the_header(self, tmp_path):
+        path = tmp_path / "top.csv"
+        path.write_text("# exported list\nrank,domain\n1,example.com\n2,example.org\n")
+        assert load_domain_list(str(path)) == (["example.com", "example.org"], 0)
+
     def test_auto_sniffs_plain_lines(self, tmp_path):
         path = tmp_path / "list"
         path.write_text("example.net\nexample.org\n")

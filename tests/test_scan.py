@@ -342,10 +342,16 @@ class TestTrueClientRates:
             {"domain": "alpha.test", "process": {"kind": "poisson", "rate": 0.05}},
             {"domain": "alpha.test", "process": {"kind": "periodic",
                                                  "interval": 20.0}},
+            {"domain": "alpha.test", "process": {"kind": "poisson", "rate": 0.0}},
+            {"domain": "beta.test", "process": {"kind": "none"}, "label": "idle"},
+            {"domain": "www.beta.test", "process": {"kind": "periodic",
+                                                    "interval": 40.0}},
+            {"domain": "mail.alpha.test", "process": {"kind": "none"}},
         ]))
         rates = true_client_rates(config)
-        assert rates["alpha.test"] == pytest.approx(0.05 + 1 / 20)
-        assert rates["beta.test"] == 0.0
+        # a subdomain's population is its own entry, even of kind none
+        assert rates == {"alpha.test": pytest.approx(0.05 + 1 / 20), "beta.test": 0.0,
+                         "www.beta.test": pytest.approx(1 / 40), "mail.alpha.test": 0.0}
 
 
 class TestRunBatch:

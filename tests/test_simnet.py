@@ -4,6 +4,7 @@ import hashlib
 import heapq
 import json
 import random
+import socket
 import tracemalloc
 from collections.abc import Sequence
 
@@ -13,8 +14,8 @@ from scipy import stats
 from snoopdns import wire
 from snoopdns.clock import SystemClock, VirtualClock
 from snoopdns.scan import run_batch
-from snoopdns.simnet import (ConfigError, Sim, SimEvent, SimExchange, build_sim,
-                             config_from_dict, load_scenario, serve_udp)
+from snoopdns.simnet import (ConfigError, Sim, SimEvent, SimExchange, UdpSimServer,
+                             build_sim, config_from_dict, load_scenario, serve_udp)
 from snoopdns.transport import Prober, UdpExchange
 
 
@@ -155,6 +156,41 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             config_from_dict(bad)
 
+    @pytest.mark.parametrize("overrides,message", [
+        ('{"clients": 5}', "^clients must be a list"),
+        ('{"clients": [5]}', r"^clients\[0\] must be a JSON object"),
+        ('{"zones": {"a.test": 60}}', "^zone 'a.test' must be a JSON object"),
+        ('{"anomaly": null}', "^anomaly must be a JSON object"),
+        ('{"ttl_policy": []}', "^ttl_policy must be a JSON object"),
+        ('{"clients": [{"domain": "a.test", "process": "poisson"}]}',
+         r"^clients\[0\]\.process must be a JSON object"),
+        ('{"rtt_model": {"cached_mean": "fast"}}',
+         r"^rtt_model\.cached_mean must be a finite number, got 'fast'"),
+        pytest.param('{"rtt_model": {"recursion_jitter": 1%s}}' % ("0" * 400),
+                     r"^rtt_model\.recursion_jitter must be a finite number",
+                     id="an int too large for a float"),
+        ('{"clients": [{"domain": "a.test", "process": {"kind": "poisson", "rate": "x"}}]}',
+         r"^clients\[0\]\.process\.rate must be a finite number, got 'x'"),
+        ('{"clients": [{"domain": "a.test", "process": {"kind": "poisson", "rate": true}}]}',
+         r"^clients\[0\]\.process\.rate must be a finite number, got True"),
+        ('{"clients": [{"domain": "a.test", "process": {"kind": "periodic", '
+         '"interval": Infinity}}]}',
+         r"^clients\[0\]\.process\.interval must be a finite number, got inf"),
+        ('{"anomaly": {"kind": "pre_refresh", "remaining_low": NaN, "remaining_high": 2}}',
+         r"^anomaly\.remaining_low must be a finite number, got nan"),
+        ('{"clients": [{"domain": 5}]}', r"^clients\[0\]: domain must be a string, got 5"),
+        ('{"zones": {"a.test": {"address": 5, "ttl": 60}}}', "^zone 'a.test': bad address 5"),
+        ('{"zones": {"a.test": {"ttl": true}}}',
+         "^zone 'a.test': ttl must be a positive integer, got True"),
+        ('{"ttl_policy": {"mode": "override", "max_ttl": true}}',
+         "^ttl_policy.max_ttl must be a positive integer, got True"),
+        ('{"seed": false}', "^seed must be an integer, got False"),
+    ])
+    def test_a_malformed_scenario_is_a_config_error_naming_its_field(self, overrides,
+                                                                     message):
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(base_config(**json.loads(overrides)))
+
     def test_scenario_file_with_broken_json_raises_with_position(self, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_text('{"zones": }')
@@ -168,9 +204,10 @@ class TestConfigValidation:
         assert "a.test" in sim.config.zones
 
 
-def pinned_log_batch(anomaly):
-    """A short run_batch over Poisson and periodic clients, with the given
-    anomaly; its Sim.log is pinned below."""
+def pinned_log_batch(**overrides):
+    """A short run_batch over Poisson and periodic clients; `overrides`
+    replace or add scenario keys, and `extra_clients` is appended to the
+    populations. Its Sim.log is pinned below."""
     zones, clients = {}, []
     for i in range(6):
         name = f"log{i}.example"
@@ -178,7 +215,8 @@ def pinned_log_batch(anomaly):
         process = ({"kind": "poisson", "rate": 0.01 * (i + 1)} if i % 3 else
                    {"kind": "periodic", "interval": 45.0 + 10 * i})
         clients.append({"domain": name, "process": process})
-    return run_batch({"seed": 5, "zones": zones, "clients": clients, "anomaly": anomaly},
+    clients += overrides.pop("extra_clients", [])
+    return run_batch({"seed": 5, "zones": zones, "clients": clients, **overrides},
                      duration=1200.0, required_confirmations=3)
 
 
@@ -197,19 +235,34 @@ def mixed_sim():
 
 
 class TestEventLog:
-    @pytest.mark.parametrize("anomaly,digest", [
-        ({"kind": "pre_refresh", "remaining_low": 0.5, "remaining_high": 1.5},
-         "6bbc5833661670371ae81d3e3e47e9ce3dc9a1d29c5cdd7ba80433bea6967fe1"),
-        ({"kind": "none"},
-         "14a6e7b9f249bc6428e6fda94c94844305b3bd4a269f13880c18c4b839f5210e"),
+    @pytest.mark.parametrize("overrides,cause,digest", [
+        ({"anomaly": {"kind": "pre_refresh", "remaining_low": 0.5, "remaining_high": 1.5}},
+         "prefetch", "6bbc5833661670371ae81d3e3e47e9ce3dc9a1d29c5cdd7ba80433bea6967fe1"),
+        ({"anomaly": {"kind": "none"}},
+         "client", "14a6e7b9f249bc6428e6fda94c94844305b3bd4a269f13880c18c4b839f5210e"),
+        # a TTL override, RD ignored, a custom RTT model, and populations
+        # of rate 0 (listed before a positive one), of kind none and on a
+        # subdomain
+        ({"ttl_policy": {"mode": "override", "max_ttl": 90}, "rd_policy": "ignore",
+          "rtt_model": {"cached_mean": 3.0, "cached_jitter": 0.5,
+                        "recursion_extra_mean": 30.0, "recursion_jitter": 4.0},
+          "extra_clients": [
+              {"domain": "log1.example", "process": {"kind": "poisson", "rate": 0.0}},
+              {"domain": "log1.example", "process": {"kind": "poisson", "rate": 0.02}},
+              {"domain": "log2.example", "process": {"kind": "none"}, "label": "idle"},
+              {"domain": "www.log3.example",
+               "process": {"kind": "periodic", "interval": 70.0}}]},
+         "probe", "1815d5ecf5ccb5c88858867cd986d005ab88c676f55290f7062a9a46e46bdbc6"),
     ])
-    def test_ground_truth_is_pinned(self, anomaly, digest):
-        # The digest was computed when Sim.log was a list of SimEvent; a
-        # change to how the log is stored must leave every entry alone.
-        log = pinned_log_batch(anomaly).sim.log
+    def test_ground_truth_is_pinned(self, overrides, cause, digest):
+        # The first two digests were computed when Sim.log was a list of
+        # SimEvent, the third when the scenario options were one dataclass
+        # each; a change to how the log or the options are stored must
+        # leave every entry alone.
+        log = pinned_log_batch(**overrides).sim.log
         kinds = {(e.kind, e.cause) for e in log}
         assert ("probe_query", "") in kinds and ("client_query", "") in kinds
-        assert ("cache_refresh", "prefetch" if anomaly["kind"] != "none" else "client") in kinds
+        assert ("cache_refresh", cause) in kinds
         sha = hashlib.sha256()
         for e in log:
             sha.update(repr((repr(e.at), e.kind, e.domain, e.cause)).encode())
@@ -535,3 +588,10 @@ class TestUdpSimServer:
             assert 58 <= second.response.answers[0].ttl <= 60
         finally:
             server.stop()
+
+    def test_a_port_in_use_is_an_os_error_naming_it(self):
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as taken:
+            taken.bind(("127.0.0.1", 0))
+            port = taken.getsockname()[1]
+            with pytest.raises(OSError, match=f"cannot bind 127.0.0.1:{port}: "):
+                UdpSimServer(build_sim(base_config()), port=port)
