@@ -131,35 +131,47 @@ def record_line(item: "RefreshObservation | CycleError", scan_id: str) -> str:
     its event holds delay_after_expiry (the delay) and
     inferred_refresh_time (window_start + delay).
     """
-    text = encode_basestring_ascii
     if isinstance(item, RefreshObservation):
-        start, length, rtt = item.window_start, item.window_length, item.probe_rtt_ms
-        delay = item.delay
-        refresh = 0.0 if delay is None else start + delay
-        if (type(start) is type(length) is type(rtt) is type(refresh) is float
-                and (delay is None or type(delay) is float)
-                and isfinite(start + length + rtt + refresh)):
-            # the usual record: repr writes a finite float as json.dumps does
-            number = repr
-        else:
-            number = json.dumps
-        event_json = "null" if delay is None else (
-            f'{{"delay_after_expiry": {number(delay)}, '
-            f'"inferred_refresh_time": {number(refresh)}}}')
-        censored = "true" if delay is None else "false"
-        return (f'{{"censored": {censored}, "domain": {text(item.domain)}, '
-                f'"event": {event_json}, "kind": "observation", '
-                f'"method": {text(item.method)}, "probe_rtt_ms": {number(rtt)}, '
-                f'"scan_id": {text(scan_id)}, "schema_version": {SCHEMA_VERSION}, '
-                f'"server": {text(item.server)}, "window_length": {number(length)}, '
-                f'"window_start": {number(start)}}}\n')
+        return _observation_line(item, _observation_template(
+            item.server, item.domain, item.method, scan_id))
     if isinstance(item, CycleError):
+        text = encode_basestring_ascii
         return (f'{{"at": {json.dumps(item.at)}, "domain": {text(item.domain)}, '
                 f'"error_kind": {text(item.kind)}, "kind": "error", '
                 f'"message": {text(item.message)}, "method": {text(item.method)}, '
                 f'"scan_id": {text(scan_id)}, "schema_version": {SCHEMA_VERSION}, '
                 f'"server": {text(item.server)}}}\n')
     raise TypeError(f"cannot log a {type(item).__name__}")
+
+
+def _observation_template(server: str, domain: str, method: str, scan_id: str) -> str:
+    """An observation line with %s for its censored flag, event,
+    probe_rtt_ms, window_length and window_start: the same for every
+    observation of one server, domain and method."""
+    def text(value: str) -> str:
+        return encode_basestring_ascii(value).replace("%", "%%")
+    return (f'{{"censored": %s, "domain": {text(domain)}, "event": %s, '
+            f'"kind": "observation", "method": {text(method)}, "probe_rtt_ms": %s, '
+            f'"scan_id": {text(scan_id)}, "schema_version": {SCHEMA_VERSION}, '
+            f'"server": {text(server)}, "window_length": %s, "window_start": %s}}\n')
+
+
+def _observation_line(item: RefreshObservation, template: str) -> str:
+    start, length, rtt = item.window_start, item.window_length, item.probe_rtt_ms
+    delay = item.delay
+    refresh = 0.0 if delay is None else start + delay
+    if (type(start) is type(length) is type(rtt) is type(refresh) is float
+            and (delay is None or type(delay) is float)
+            and isfinite(start + length + rtt + refresh)):
+        # the usual record: repr writes a finite float as json.dumps does
+        number = repr
+    else:
+        number = json.dumps
+    event = "null" if delay is None else (
+        f'{{"delay_after_expiry": {number(delay)}, '
+        f'"inferred_refresh_time": {number(refresh)}}}')
+    return template % ("true" if delay is None else "false", event,
+                       number(rtt), number(length), number(start))
 
 
 def _schema_ok(record: dict) -> bool:
@@ -223,9 +235,11 @@ def observation_from_json(record: dict) -> RefreshObservation:
 class ObservationWriter:
     """Append-only JSONL sink, one flushed line per record.
 
-    Each line has the fixed layout of record_line. A lock serializes
-    writers so concurrent probing threads cannot tear lines; flushing per
-    record bounds loss on a crash to the final line.
+    Each line has the fixed layout of record_line. An observation line's
+    text around its numbers is kept per (server, domain, method) for the
+    writer's life, so a repeat formats only the numbers. A lock
+    serializes writers so concurrent probing threads cannot tear lines;
+    flushing per record bounds loss on a crash to the final line.
     """
 
     def __init__(self, out: TextIO, scan_id: str):
@@ -233,9 +247,17 @@ class ObservationWriter:
         self.scan_id = scan_id
         self.records_written = 0
         self._lock = threading.Lock()
+        self._templates: dict[tuple[str, str, str], str] = {}
 
     def write(self, item: "RefreshObservation | CycleError") -> None:
-        line = record_line(item, self.scan_id)
+        if type(item) is RefreshObservation:
+            key = (item.server, item.domain, item.method)
+            template = self._templates.get(key)
+            if template is None:
+                template = self._templates[key] = _observation_template(*key, self.scan_id)
+            line = _observation_line(item, template)
+        else:
+            line = record_line(item, self.scan_id)
         with self._lock:
             self.out.write(line)
             self.out.flush()

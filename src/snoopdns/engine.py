@@ -26,7 +26,7 @@ Every machine reports a fault as a CycleError item of the step that met it,
 and each completed cycle as a RefreshObservation: the watched window and
 the first refresh's delay into it, None when the window is censored.
 
-Each check of that invariant has one home: _exceeds_max,
+Each check of that invariant has one home: classify_window_read,
 _checkpoint_fits, _check_countdown, _window, and the _adopt_max and
 _observe methods that every probing machine inherits.
 
@@ -103,13 +103,6 @@ def ttl_grace(max_ttl: float) -> float:
     1% of the maximum for very large TTLs.
     """
     return max(2.0, 0.01 * max_ttl)
-
-
-def _exceeds_max(ttl: float, max_ttl: float) -> bool:
-    """Whether a read lies above the believed maximum by more than the
-    grace: an honest cache never answers above the TTL it was given,
-    so the believed maximum is stale."""
-    return ttl > max_ttl + ttl_grace(max_ttl)
 
 
 def snap_to_grid(reading: int) -> tuple[int, bool]:
@@ -220,9 +213,9 @@ def classify_window_read(t_prime: float, max_ttl: float, window: float) -> float
     Raises TtlExceedsMax for reads above the believed maximum and
     InconsistentTtl for reads implying a refresh before expiry.
     """
-    if _exceeds_max(t_prime, max_ttl):
-        raise TtlExceedsMax(f"read {t_prime} above believed max {max_ttl}")
     grace = ttl_grace(max_ttl)
+    if t_prime > max_ttl + grace:
+        raise TtlExceedsMax(f"read {t_prime} above believed max {max_ttl}")
     if t_prime >= max_ttl - grace:
         return None
     delay = window - (max_ttl - t_prime)
@@ -230,10 +223,6 @@ def classify_window_read(t_prime: float, max_ttl: float, window: float) -> float
         raise InconsistentTtl(
             f"read {t_prime} implies a refresh {-delay:.1f}s before expiry")
     return min(max(delay, 0.0), window)
-
-
-def _answer_ttl(reply: ProbeReply, domain: str) -> int | None:
-    return wire.min_answer_ttl(reply.response, domain)
 
 
 def check_rd_behavior(prober: Prober, server: str, canary_domains: list[str]) -> RdBehavior:
@@ -341,7 +330,7 @@ class DiscoveryMachine:
         except ProbeTimeout as exc:
             return self._fail(self.prober.clock.now(), "timeout", str(exc))
         at = reply.sent_at
-        ttl = _answer_ttl(reply, self.domain)
+        ttl = wire.min_answer_ttl(reply.response, self.domain)
         if ttl is None:
             if self._mode == "first":
                 return self._fail(at, "unresolvable", f"{self.domain} returned no usable "
@@ -470,9 +459,9 @@ class _ProbingMachine:
     """What the three probing machines share: the domain they probe, the
     completed-cycle count that max_cycles budgets read, and the run of
     timeouts that ends the domain at FAILURE_LIMIT in a row. _adopt_max
-    is the one place a stale maximum is adopted, _observe the one place
-    a completed cycle is recorded. step returns (next wake, items), the
-    wake None exactly when the machine is done."""
+    is the one place a stale maximum (and its ttl_grace, _grace) is
+    replaced, _observe the one place a completed cycle is recorded. step
+    returns (next wake, items), the wake None exactly when it is done."""
 
     method: str
 
@@ -481,6 +470,7 @@ class _ProbingMachine:
         self.server = server
         self.domain = domain
         self.max_ttl = max_ttl
+        self._grace = ttl_grace(max_ttl)
         self.cycles_completed = 0
         self.done = False
         self._timeouts = 0
@@ -497,13 +487,15 @@ class _ProbingMachine:
         self.cycles_completed += 1
 
     def _adopt_max(self, items: list, at: float, ttl: int) -> bool:
-        """Annotate a read above the believed maximum and adopt its
-        grid-snapped value as the maximum. Returns whether it did."""
-        if not _exceeds_max(ttl, self.max_ttl):
+        """Annotate a read above the believed maximum by more than its grace
+        (an honest cache never answers above the TTL it was given) and
+        adopt its grid-snapped value as the maximum. Returns whether it did."""
+        if ttl <= self.max_ttl + self._grace:
             return False
         items.append(self._error(at, "ttl_exceeds_max",
                                  f"read {ttl} above believed max {self.max_ttl}"))
         self.max_ttl = snap_to_grid(ttl)[0]
+        self._grace = ttl_grace(self.max_ttl)
         return True
 
     def _probe(self, items: list, recursion_desired: bool = True,
@@ -551,28 +543,6 @@ class TtlRecursiveMachine(_ProbingMachine):
         self._failures = 0
         self._static_runs = 0
 
-    def _read(self, items: list) -> tuple[ProbeReply, int] | None:
-        reply = self._probe(items)
-        if reply is None:
-            self._mode = "init"
-            return None
-        if reply.response.truncated:
-            items.append(self._error(reply.sent_at, "truncated",
-                                     "truncated response; cycle discarded"))
-            self._mode = "init"
-            return None
-        ttl = _answer_ttl(reply, self.domain)
-        if ttl is None:
-            self._failures += 1
-            items.append(self._error(reply.sent_at, "unresolvable",
-                                     f"no usable answer (rcode {reply.response.rcode})"))
-            if self._failures >= FAILURE_LIMIT:
-                self.done = True
-            self._mode = "init"
-            return None
-        self._failures = 0
-        return reply, ttl
-
     def _arm(self, sent_at: float, ttl: int) -> float:
         """Fix the next expiry from this read and pick the next probe."""
         self._expiry = sent_at + ttl
@@ -593,10 +563,25 @@ class TtlRecursiveMachine(_ProbingMachine):
         items: list = []
         if self.done:
             return None, items
-        got = self._read(items)
-        if got is None:
+        reply = self._probe(items)
+        ttl = None
+        if reply is not None and reply.response.truncated:
+            items.append(self._error(reply.sent_at, "truncated",
+                                     "truncated response; cycle discarded"))
+        elif reply is not None:
+            ttl = wire.min_answer_ttl(reply.response, self.domain)
+            if ttl is None:
+                self._failures += 1
+                items.append(self._error(reply.sent_at, "unresolvable",
+                                         f"no usable answer (rcode {reply.response.rcode})"))
+                if self._failures >= FAILURE_LIMIT:
+                    self.done = True
+            else:
+                self._failures = 0
+        if ttl is None:
+            # no usable read: the next one starts over
+            self._mode = "init"
             return self._backoff(now), items
-        reply, ttl = got
 
         if self._mode == "init":
             self._adopt_max(items, reply.sent_at, ttl)
@@ -626,7 +611,7 @@ class TtlRecursiveMachine(_ProbingMachine):
 
         # window probe: classifies the cycle and doubles as the next pre-probe
         window_eff = reply.sent_at - self._expiry
-        if window_eff > self.max_ttl + ttl_grace(self.max_ttl):
+        if window_eff > self.max_ttl + self._grace:
             # Scheduling slipped past a full cache lifetime; the read no
             # longer pins the refresh. Discard and re-baseline.
             items.append(self._error(reply.sent_at, "window_overrun",
@@ -692,7 +677,7 @@ class Rd0Machine(_ProbingMachine):
         if reply is None:
             return (None if self.done else now + self.interval), items
         sent = reply.sent_at
-        ttl = _answer_ttl(reply, self.domain)
+        ttl = wire.min_answer_ttl(reply.response, self.domain)
         span = None if self._last_probe is None else sent - self._last_probe
         delay = None  # stays None when the span is censored
 
@@ -721,7 +706,7 @@ class Rd0Machine(_ProbingMachine):
                     self._fetch_signatures = 0
                 gap = (None if self._last_refresh is None
                        else refresh_time - (self._last_refresh + self.max_ttl))
-                if gap is not None and gap < -ttl_grace(self.max_ttl):
+                if gap is not None and gap < -self._grace:
                     # dated clearly before the previous copy could expire
                     self._early_refreshes += 1
                 else:
@@ -828,17 +813,20 @@ def _run_machines(clock: Clock, machines: list, start: float,
     """
     heap = [(start, seq, machine) for seq, machine in enumerate(machines)]
     seq = len(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
+    sleep_until, now = clock.sleep_until, clock.now
+    deadline = float("inf") if deadline is None else deadline
     while heap:
-        wake, _, machine = heapq.heappop(heap)
-        if deadline is not None and wake > deadline:
+        wake, _, machine = heappop(heap)
+        if wake > deadline:
             continue
         if max_cycles is not None and machine.cycles_completed >= max_cycles:
             continue
-        clock.sleep_until(wake)
-        next_wake, items = machine.step(clock.now())
+        sleep_until(wake)
+        next_wake, items = machine.step(now())
         if items and emit is not None:
             emit(items)
         if next_wake is None:
             continue
-        heapq.heappush(heap, (next_wake, seq, machine))
+        heappush(heap, (next_wake, seq, machine))
         seq += 1

@@ -104,7 +104,7 @@ def run_scan(prober: Prober, clock: Clock, server: str, domains: list[str], *,
 
     def emit(items: list) -> None:
         for item in items:
-            if isinstance(item, RefreshObservation):
+            if type(item) is RefreshObservation:
                 result.observations.append(item)
             else:
                 result.errors.append(item)

@@ -106,8 +106,9 @@ class SimEvent(NamedTuple):
     cause: str = ""  # for cache_refresh: client | probe | prefetch
 
 
-_KINDS = ("client_query", "cache_refresh", "probe_query", "expiry")
-_CAUSES = ("", "client", "probe", "prefetch")
+# each kind and cause with its code in a log record
+_KINDS = {"client_query": 0, "cache_refresh": 1, "probe_query": 2, "expiry": 3}
+_CAUSES = {"": 0, "client": 1, "probe": 2, "prefetch": 3}
 
 
 class EventLog(Sequence):
@@ -123,16 +124,17 @@ class EventLog(Sequence):
 
     def append(self, at: float, kind: str, domain: str, cause: str = "") -> None:
         index = self._names.setdefault(domain, len(self._names))
-        self._data += self._RECORD.pack(at, _KINDS.index(kind), _CAUSES.index(cause), index)
+        self._data += self._RECORD.pack(at, _KINDS[kind], _CAUSES[cause], index)
 
     def __len__(self) -> int:
         return len(self._data) // self._RECORD.size
 
     def _events(self, start: int, stop: int) -> Iterator[SimEvent]:
         names, size = list(self._names), self._RECORD.size
+        kinds, causes = list(_KINDS), list(_CAUSES)
         # a slice is a copy: an export of the bytearray would block appends
         for at, kind, cause, name in self._RECORD.iter_unpack(self._data[start * size:stop * size]):
-            yield SimEvent(at, _KINDS[kind], names[name], _CAUSES[cause])
+            yield SimEvent(at, kinds[kind], names[name], causes[cause])
 
     def __getitem__(self, index):
         positions = range(len(self))[index]  # negative indexes, IndexError, slices
@@ -184,15 +186,19 @@ def config_from_dict(raw: dict) -> SimConfig:
             norm = wire.validate_name(name)
         except wire.InvalidName as exc:
             raise ConfigError(f"zone name {name!r}: {exc}") from exc
+        if norm in zones:
+            first = next(n for n in zones_raw if wire.normalize_name(n) == norm)
+            raise ConfigError(f"zone names {first!r} and {name!r} are the same name {norm!r}")
         _check_keys(rec, {"address", "ttl"}, f"zone {name!r}")
         ttl = rec.get("ttl")
         _require(type(ttl) is int and 0 < ttl <= wire.MAX_TTL,
                  f"zone {name!r}: ttl must be a positive integer, got {ttl!r}")
         address = rec.get("address", "192.0.2.1")
-        try:
-            socket.inet_aton(address)
+        try:  # a dotted quad: inet_aton would also take shorthand such as 10.1
+            socket.inet_pton(socket.AF_INET, address)
         except (OSError, TypeError) as exc:  # TypeError: not a string
-            raise ConfigError(f"zone {name!r}: bad address {address!r}") from exc
+            raise ConfigError(f"zone {name!r}: bad address {address!r}, "
+                              "want a dotted-quad IPv4 address") from exc
         zones[norm] = ZoneRecord(address=address, ttl=ttl)
 
     rd_policy = raw.get("rd_policy", "honor")
@@ -326,31 +332,26 @@ class Sim:
         self._seq += 1
         heapq.heappush(self._heap, (at, self._seq, kind, payload))
 
-    def _is_current(self, domain: str, generation: int) -> bool:
-        """True while no refresh has happened since `generation` was issued;
-        an empty cache is generation -1."""
-        entry = self.cache.get(domain)
-        return (entry.generation if entry is not None else -1) == generation
-
     def _advance_to(self, t: float) -> None:
-        while self._heap and self._heap[0][0] <= t:
-            at, _, kind, payload = heapq.heappop(self._heap)
+        heap, cache, heappop = self._heap, self.cache, heapq.heappop
+        while heap and heap[0][0] <= t:
+            at, _, kind, payload = heappop(heap)
             if kind == "arrival":
                 domain, _, interval = self.config.clients[payload]
                 self._client_lookup(at, domain)
                 self._schedule(at + interval, "arrival", payload)
-            elif kind == "lookup":
-                domain, generation = payload
-                if self._is_current(domain, generation):
-                    self._client_lookup(at, domain)
+                continue
+            # stale once the record was refreshed after it was queued (no entry: -1)
+            domain, generation = payload
+            entry = cache.get(domain)
+            if (-1 if entry is None else entry.generation) != generation:
+                continue
+            if kind == "lookup":
+                self._client_lookup(at, domain)
             elif kind == "expiry":
-                domain, generation = payload
-                if self._is_current(domain, generation):
-                    self.log.append(at, "expiry", domain)
-            elif kind == "prefetch":
-                domain, generation = payload
-                if self._is_current(domain, generation) and self.cache[domain].expires_at > at:
-                    self._refresh(domain, _zone_for(self.config.zones, domain), at, "prefetch")
+                self.log.append(at, "expiry", domain)
+            elif entry.expires_at > at:  # prefetch
+                self._refresh(domain, at, "prefetch")
         if t > self.time:
             self.time = t
 
@@ -371,54 +372,58 @@ class Sim:
 
     # -- cache model ---------------------------------------------------
 
-    def _refresh(self, domain: str, zone: ZoneRecord, at: float, cause: str) -> None:
-        max_ttl = zone.ttl if self.config.ttl_cap is None else self.config.ttl_cap
+    def _refresh(self, domain: str, at: float, cause: str) -> None:
         entry = self.cache.get(domain)
-        if entry is None:
-            entry = _CacheEntry(expires_at=at + max_ttl, max_ttl=max_ttl)
-            self.cache[domain] = entry
+        if entry is None:  # a record is cached with the same TTL every time
+            ttl_cap = self.config.ttl_cap
+            max_ttl = _zone_for(self.config.zones, domain).ttl if ttl_cap is None else ttl_cap
+            entry = self.cache[domain] = _CacheEntry(at + max_ttl, max_ttl)
         else:
             entry.generation += 1
-            entry.expires_at = at + max_ttl
-            entry.max_ttl = max_ttl
+            entry.expires_at = at + entry.max_ttl
         self.log.append(at, "cache_refresh", domain, cause)
-        self._schedule(entry.expires_at, "expiry", (domain, entry.generation))
+        expires_at, key = entry.expires_at, (domain, entry.generation)
+        # queued here, not through _schedule: the busiest path of the replay
+        heap, seq, heappush = self._heap, self._seq + 1, heapq.heappush
+        heappush(heap, (expires_at, seq, "expiry", key))
         rate = self._poisson_rate.get(domain)
         if rate:
             # first Poisson lookup after expiry; stale once the cache refreshes
-            self._schedule(entry.expires_at + self.rng.expovariate(rate), "lookup",
-                           (domain, entry.generation))
+            seq += 1
+            heappush(heap, (expires_at + self.rng.expovariate(rate), seq, "lookup", key))
         if self.config.prefetch_band is not None:
             low, high = self.config.prefetch_band
-            prefetch_at = entry.expires_at - self.rng.uniform(low, high)
+            prefetch_at = expires_at - self.rng.uniform(low, high)
             if prefetch_at > at:
-                self._schedule(prefetch_at, "prefetch", (domain, entry.generation))
+                seq += 1
+                heappush(heap, (prefetch_at, seq, "prefetch", key))
             if rate:
                 # first Poisson lookup inside the band, if it comes before the band ends
-                lookup_at = max(at, entry.expires_at - high) + self.rng.expovariate(rate)
-                if lookup_at <= entry.expires_at - low:
-                    self._schedule(lookup_at, "lookup", (domain, entry.generation))
+                lookup_at = max(at, expires_at - high) + self.rng.expovariate(rate)
+                if lookup_at <= expires_at - low:
+                    seq += 1
+                    heappush(heap, (lookup_at, seq, "lookup", key))
+        self._seq = seq
 
     def _remaining(self, domain: str, at: float) -> float:
+        """Seconds of TTL the cached record has left when a query finds it
+        at `at`, 0.0 when none. A pre_refresh server first refills a record
+        whose remainder falls inside its band, and the full TTL is left."""
         entry = self.cache.get(domain)
-        if entry is None:
+        if entry is None or entry.expires_at <= at:
             return 0.0
-        return max(0.0, entry.expires_at - at)
-
-    def _prefetches_at(self, remaining: float) -> bool:
-        """Whether a query that finds `remaining` seconds of TTL makes a
-        pre_refresh server refill the record ahead of expiry."""
+        remaining = entry.expires_at - at
         band = self.config.prefetch_band
-        return remaining > 0 and band is not None and band[0] <= remaining <= band[1]
+        if band is not None and band[0] <= remaining <= band[1]:
+            self._refresh(domain, at, "prefetch")
+            remaining = entry.expires_at - at
+        return remaining
 
     def _client_lookup(self, at: float, domain: str) -> None:
         self.log.append(at, "client_query", domain)
-        remaining = self._remaining(domain, at)
-        if self._prefetches_at(remaining):
-            self._refresh(domain, _zone_for(self.config.zones, domain), at, "prefetch")
-        elif remaining <= 0:
-            self._refresh(domain, _zone_for(self.config.zones, domain), at, "client")
-        # otherwise a plain cache hit: no state change
+        if self._remaining(domain, at) <= 0:
+            self._refresh(domain, at, "client")
+        # otherwise a plain cache hit, or a prefetch: no further change
 
     # -- RTT draws -----------------------------------------------------
 
@@ -442,7 +447,10 @@ class Sim:
         """
         if at < self.time:
             raise ValueError(f"query at {at} is before simulation time {self.time}")
-        self._advance_to(at)
+        if self._heap and self._heap[0][0] <= at:
+            self._advance_to(at)
+        else:  # nothing due: only the clock moves
+            self.time = at
         domain = wire.normalize_name(query.qname)
         self.log.append(at, "probe_query", domain)
 
@@ -451,24 +459,19 @@ class Sim:
             return wire.DnsResponse(query.id, wire.Rcode.NXDOMAIN, True), self._rtt_recursive()
 
         remaining = self._remaining(domain, at)
-        if self._prefetches_at(remaining):
-            self._refresh(domain, zone, at, "prefetch")
-            remaining = self._remaining(domain, at)
-
         if remaining > 0:
             answer_ttl, rtt = int(remaining), self._rtt_cached()
         elif not query.recursion_desired and self.config.honors_rd0:
             # Honest server: no recursion on RD=0, nothing to answer.
-            return wire.DnsResponse(query.id, wire.Rcode.NOERROR, True), self._rtt_cached()
+            return wire.DnsResponse(query.id, wire.RCODE_NOERROR, True), self._rtt_cached()
         else:
-            self._refresh(domain, zone, at, "probe")
+            self._refresh(domain, at, "probe")
             answer_ttl, rtt = self.cache[domain].max_ttl, self._rtt_recursive()
 
         answers = []
-        if query.qtype in (wire.RecordType.A, 255):
-            answers.append(
-                wire.ResourceRecord(domain, wire.RecordType.A, answer_ttl, zone.rdata))
-        return wire.DnsResponse(query.id, wire.Rcode.NOERROR, True, answers), rtt
+        if query.qtype == wire.TYPE_A or query.qtype == 255:
+            answers.append(wire.ResourceRecord(domain, wire.TYPE_A, answer_ttl, zone.rdata))
+        return wire.DnsResponse(query.id, wire.RCODE_NOERROR, True, answers), rtt
 
 
 def build_sim(config: SimConfig | dict, start_time: float = 0.0) -> Sim:
@@ -483,8 +486,7 @@ def _encode_reply(query: wire.DnsQuery, response: wire.DnsResponse) -> bytes:
     echoed, then the response that Sim.handle_query built."""
     # called through the module so that a tracer patching it sees every reply
     return wire.encode_response(
-        query.id, wire.DnsQuestion(query.qname, query.qtype, query.qclass),
-        response.answers, rcode=response.rcode,
+        query.id, query, response.answers, rcode=response.rcode,
         recursion_available=response.recursion_available,
         recursion_desired=query.recursion_desired)
 

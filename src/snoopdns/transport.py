@@ -144,8 +144,8 @@ class Prober:
         for _ in range(attempts):
             if self.limiter is not None:
                 self.limiter.acquire()
-            query = wire.DnsQuery(self.rng.randrange(0x10000), name, wire.RecordType.A,
-                                  wire.RecordClass.IN, recursion_desired)
+            query = wire.DnsQuery(self.rng.getrandbits(16), name, wire.TYPE_A,
+                                  wire.CLASS_IN, recursion_desired)
             payload = wire.encode_query(query)
             try:
                 data, rtt_ms, sent_at = self.transport.exchange(server, payload, self.timeout)
@@ -164,7 +164,7 @@ class Prober:
                 last_error = wire.Malformed("reply has the QR bit clear")
                 continue
             echoed = response.question
-            if echoed is not None and (echoed.qname, echoed.qtype) != (qname, wire.RecordType.A):
+            if echoed is not None and (echoed.qname != qname or echoed.qtype != wire.TYPE_A):
                 # RFC 5452 section 9.1: the reply must echo the question asked
                 last_error = wire.Malformed("question does not match the query")
                 continue

@@ -8,6 +8,13 @@ are preserved opaquely instead of rejected, so that misbehaving servers
 can still be analysed. UDP framing only; truncated responses are
 surfaced via the header bit, never retried over TCP here.
 
+The decoders read each packet in one pass: fixed-width fields are
+unpacked in place at their offsets, and read_name returns a name with
+the offset just past it. No cursor object is made, and a packet is
+copied only when it is not bytes already (the name memo is keyed by
+slices of it). Every bounds, pointer, length and ASCII check is made
+on that pass.
+
 A scan sends the same short list of names over and over, so the codec
 keeps two name memos: the wire bytes of each name string given to
 encode_name, and the decoded name of each uncompressed label run read
@@ -53,6 +60,11 @@ class Rcode(IntEnum):
     SERVFAIL = 2
     NXDOMAIN = 3
     REFUSED = 5
+
+
+# The values every packet packs or compares, as plain ints: reading an
+# IntEnum member costs a class attribute lookup each time.
+TYPE_A, TYPE_CNAME, CLASS_IN, RCODE_NOERROR = 1, 5, 1, 0
 
 
 class InvalidName(ValueError):
@@ -180,21 +192,21 @@ def encode_query(query: DnsQuery) -> bytes:
     if not 0 <= query.id <= 0xFFFF:
         raise ValueError(f"query id out of range: {query.id}")
     flags = FLAG_RD if query.recursion_desired else 0
-    header = HEADER.pack(query.id, flags, 1, 0, 0, 0)
-    question = encode_name(query.qname) + QUESTION_TAIL.pack(query.qtype, query.qclass)
-    return header + question
+    return (HEADER.pack(query.id, flags, 1, 0, 0, 0) + encode_name(query.qname)
+            + QUESTION_TAIL.pack(query.qtype, query.qclass))
 
 
 def encode_response(
     query_id: int,
-    question: DnsQuestion | None,
+    question: DnsQuestion | DnsQuery | None,
     answers: list[ResourceRecord],
     rcode: int = Rcode.NOERROR,
     recursion_available: bool = True,
     truncated: bool = False,
     recursion_desired: bool = False,
 ) -> bytes:
-    """Encode a response packet (server side); names are not compressed."""
+    """Encode a response packet (server side); names are not compressed.
+    question is any object with qname, qtype and qclass, such as the query."""
     flags = FLAG_QR | (rcode & 0x000F)
     if truncated:
         flags |= FLAG_TC
@@ -203,133 +215,85 @@ def encode_response(
     if recursion_available:
         flags |= FLAG_RA
     qdcount = 1 if question is not None else 0
-    out = bytearray(HEADER.pack(query_id, flags, qdcount, len(answers), 0, 0))
+    packet = HEADER.pack(query_id, flags, qdcount, len(answers), 0, 0)
     if question is not None:
-        out += encode_name(question.qname)
-        out += QUESTION_TAIL.pack(question.qtype, question.qclass)
+        packet += encode_name(question.qname) + QUESTION_TAIL.pack(question.qtype,
+                                                                   question.qclass)
     for rr in answers:
         if not 0 <= rr.ttl <= MAX_TTL:
             raise ValueError(f"record ttl out of range: {rr.ttl}")
         rdata = rr.rdata
-        if rr.rtype == RecordType.CNAME and rr.cname_target is not None:
+        if rr.rtype == TYPE_CNAME and rr.cname_target is not None:
             rdata = encode_name(rr.cname_target)
-        out += encode_name(rr.name)
-        out += RECORD_FIXED.pack(rr.rtype, RecordClass.IN, rr.ttl, len(rdata))
-        out += rdata
-    return bytes(out)
+        packet += (encode_name(rr.name) + RECORD_FIXED.pack(rr.rtype, CLASS_IN, rr.ttl,
+                                                            len(rdata)) + rdata)
+    return packet
 
 
-class _Reader:
-    """Bounds-checked cursor over a packet; every overrun is Malformed."""
+def read_name(data: bytes, pos: int) -> tuple[str, int]:
+    """Read a possibly compressed name at pos; returns (name, end).
 
-    def __init__(self, data: bytes):
-        self.data = bytes(data)  # hashable slices for the name memo
-        self.pos = 0
-
-    def fields(self, layout: struct.Struct) -> tuple:
-        """Read fixed-width fields in one call."""
-        pos = self.pos
-        end = pos + layout.size
-        if end > len(self.data):
-            raise Malformed("packet truncated")
-        self.pos = end
-        return layout.unpack_from(self.data, pos)
-
-    def take(self, n: int) -> bytes:
-        pos = self.pos
-        end = pos + n
-        if end > len(self.data):
-            raise Malformed("packet truncated")
-        self.pos = end
-        return self.data[pos:end]
-
-    def read_name(self) -> str:
-        """Read a possibly compressed name starting at the cursor.
-
-        Compression pointers must point strictly backwards (before the
-        byte where the pointer itself sits); forward pointers and loops
-        raise Malformed. The cursor ends just past the name's top-level
-        encoding.
-        """
-        data = self.data
-        start = pos = self.pos
-        # Fast path: an uncompressed label run decoded before.
-        while pos < len(data):
-            length = data[pos]
-            if length == 0:
-                name = _decoded_names.get(data[start : pos + 1])
-                if name is not None:
-                    self.pos = pos + 1
-                    return name
-                break
-            if length & 0xC0:
-                break
-            pos += 1 + length
-        labels: list[str] = []
-        pos = start
-        end = -1  # top-level resume position once the first pointer is taken
-        jumps = 0
-        decoded_len = 1
-        while True:
-            if pos >= len(data):
-                raise Malformed("name runs off packet end")
-            length = data[pos]
-            if length & 0xC0 == 0xC0:
-                if pos + 1 >= len(data):
-                    raise Malformed("dangling compression pointer")
-                target = ((length & 0x3F) << 8) | data[pos + 1]
-                if target >= pos:
-                    raise Malformed("compression pointer does not point backwards")
-                if end < 0:
-                    end = pos + 2
-                jumps += 1
-                if jumps > 64:
-                    raise Malformed("compression pointer chain too long")
-                pos = target
-                continue
-            if length & 0xC0:
-                raise Malformed(f"reserved label type 0x{length:02x}")
-            if length == 0:
-                pos += 1
-                break
-            if pos + 1 + length > len(data):
-                raise Malformed("label runs off packet end")
-            decoded_len += 1 + length
-            if decoded_len > MAX_NAME_WIRE_LEN:
-                raise Malformed("decoded name exceeds 255 bytes")
-            raw = data[pos + 1 : pos + 1 + length]
-            try:
-                labels.append(raw.decode("ascii").lower())
-            except UnicodeDecodeError as exc:
-                raise Malformed("non-ascii bytes in label") from exc
-            pos += 1 + length
-        name = ".".join(labels)
-        if end < 0:
-            _remember(_decoded_names, data[start:pos], name)
-            self.pos = pos
-        else:
-            self.pos = end
-        return name
-
-
-def _parse_record(reader: _Reader) -> ResourceRecord:
-    name = reader.read_name()
-    # class is kept implicit (IN only in practice)
-    rtype, _, ttl, rdlen = reader.fields(RECORD_FIXED)
-    if ttl > MAX_TTL:
-        raise Malformed(f"ttl above 2^31-1: {ttl}")
-    rd_start = reader.pos
-    rdata = reader.take(rdlen)
-    cname_target = None
-    if rtype == RecordType.CNAME:
-        # The target may use compression into the enclosing packet, so
-        # parse it in place and require it to fill rdata exactly.
-        sub = _Reader(reader.data)
-        sub.pos = rd_start
-        cname_target = sub.read_name()
-        if sub.pos != rd_start + rdlen:
-            raise Malformed("cname rdata length does not match encoded name")
-    return ResourceRecord(name, rtype, ttl, rdata, cname_target)
+    Compression pointers must point strictly backwards (before the byte
+    where the pointer itself sits); forward pointers and loops raise
+    Malformed. end is just past the name's top-level encoding. data
+    must be bytes, whose slices key the name memo.
+    """
+    start = pos
+    size = len(data)
+    # Fast path: an uncompressed label run decoded before.
+    while pos < size:
+        length = data[pos]
+        if length == 0:
+            name = _decoded_names.get(data[start : pos + 1])
+            if name is not None:
+                return name, pos + 1
+            break
+        if length & 0xC0:
+            break
+        pos += 1 + length
+    labels: list[str] = []
+    pos = start
+    end = -1  # top-level resume position once the first pointer is taken
+    jumps = 0
+    decoded_len = 1
+    while True:
+        if pos >= size:
+            raise Malformed("name runs off packet end")
+        length = data[pos]
+        if length & 0xC0 == 0xC0:
+            if pos + 1 >= size:
+                raise Malformed("dangling compression pointer")
+            target = ((length & 0x3F) << 8) | data[pos + 1]
+            if target >= pos:
+                raise Malformed("compression pointer does not point backwards")
+            if end < 0:
+                end = pos + 2
+            jumps += 1
+            if jumps > 64:
+                raise Malformed("compression pointer chain too long")
+            pos = target
+            continue
+        if length & 0xC0:
+            raise Malformed(f"reserved label type 0x{length:02x}")
+        if length == 0:
+            pos += 1
+            break
+        if pos + 1 + length > size:
+            raise Malformed("label runs off packet end")
+        decoded_len += 1 + length
+        if decoded_len > MAX_NAME_WIRE_LEN:
+            raise Malformed("decoded name exceeds 255 bytes")
+        raw = data[pos + 1 : pos + 1 + length]
+        try:
+            labels.append(raw.decode("ascii").lower())
+        except UnicodeDecodeError as exc:
+            raise Malformed("non-ascii bytes in label") from exc
+        pos += 1 + length
+    name = ".".join(labels)
+    if end < 0:
+        _remember(_decoded_names, data[start:pos], name)
+        return name, pos
+    return name, end
 
 
 def decode_response(packet: bytes) -> DnsResponse:
@@ -341,20 +305,43 @@ def decode_response(packet: bytes) -> DnsResponse:
     structural problem: truncated sections, counts that exceed the
     packet, compression pointers that loop or point forward.
     """
-    if len(packet) < 12:
-        raise Malformed(f"packet shorter than header: {len(packet)} bytes")
-    reader = _Reader(packet)
-    qid, flags, qdcount, ancount, nscount, arcount = reader.fields(HEADER)
-
+    packet = packet if type(packet) is bytes else bytes(packet)
+    size = len(packet)
+    if size < 12:
+        raise Malformed(f"packet shorter than header: {size} bytes")
+    qid, flags, qdcount, ancount, nscount, arcount = HEADER.unpack_from(packet)
+    pos = 12
     question = None
     for i in range(qdcount):
-        qname = reader.read_name()
-        qtype, qclass = reader.fields(QUESTION_TAIL)
+        qname, pos = read_name(packet, pos)
+        if pos + QUESTION_TAIL.size > size:
+            raise Malformed("packet truncated")
         if i == 0:
-            question = DnsQuestion(qname, qtype, qclass)
-    answers = [_parse_record(reader) for _ in range(ancount)]
-    for _ in range(nscount + arcount):
-        _parse_record(reader)
+            question = DnsQuestion(qname, *QUESTION_TAIL.unpack_from(packet, pos))
+        pos += QUESTION_TAIL.size
+    answers = []
+    for i in range(ancount + nscount + arcount):
+        name, pos = read_name(packet, pos)
+        rd_start = pos + RECORD_FIXED.size
+        if rd_start > size:
+            raise Malformed("packet truncated")
+        # class is kept implicit (IN only in practice)
+        rtype, _, ttl, rdlen = RECORD_FIXED.unpack_from(packet, pos)
+        if ttl > MAX_TTL:
+            raise Malformed(f"ttl above 2^31-1: {ttl}")
+        pos = rd_start + rdlen
+        if pos > size:
+            raise Malformed("packet truncated")
+        cname_target = None
+        if rtype == TYPE_CNAME:
+            # The target may use compression into the enclosing packet, so
+            # parse it in place and require it to fill rdata exactly.
+            cname_target, cname_end = read_name(packet, rd_start)
+            if cname_end != pos:
+                raise Malformed("cname rdata length does not match encoded name")
+        if i < ancount:
+            answers.append(ResourceRecord(name, rtype, ttl, packet[rd_start:pos],
+                                          cname_target))
 
     # Per-probe records are built positionally: keyword arguments make
     # a dataclass __init__ call several times slower.
@@ -364,14 +351,16 @@ def decode_response(packet: bytes) -> DnsResponse:
 
 def decode_query(packet: bytes) -> DnsQuery:
     """Decode an incoming query (server side); requires one question."""
+    packet = packet if type(packet) is bytes else bytes(packet)
     if len(packet) < 12:
         raise Malformed(f"packet shorter than header: {len(packet)} bytes")
-    reader = _Reader(packet)
-    qid, flags, qdcount, _, _, _ = reader.fields(HEADER)
+    qid, flags, qdcount, _, _, _ = HEADER.unpack_from(packet)
     if qdcount != 1:
         raise Malformed(f"expected exactly one question, got {qdcount}")
-    qname = reader.read_name()
-    qtype, qclass = reader.fields(QUESTION_TAIL)
+    qname, pos = read_name(packet, 12)
+    if pos + QUESTION_TAIL.size > len(packet):
+        raise Malformed("packet truncated")
+    qtype, qclass = QUESTION_TAIL.unpack_from(packet, pos)
     return DnsQuery(qid, qname, qtype, qclass, bool(flags & FLAG_RD))
 
 
@@ -383,25 +372,23 @@ def min_answer_ttl(response: DnsResponse, qname: str) -> int | None:
     Returns None when no answer matches the chain.
     """
     current = normalize_name(qname)
-    seen = {current}
-    ttls: list[int] = []
-    progressed = True
-    while progressed:
-        progressed = False
+    seen = None  # the chain's names, made at its first CNAME
+    smallest = None
+    while True:
         next_name = None
         for rr in response.answers:
             # decoded names are already normal, so compare before normalizing
             if rr.name != current and normalize_name(rr.name) != current:
                 continue
-            ttls.append(rr.ttl)
-            if rr.rtype == RecordType.CNAME and rr.cname_target and next_name is None:
+            if smallest is None or rr.ttl < smallest:
+                smallest = rr.ttl
+            if rr.rtype == TYPE_CNAME and rr.cname_target and next_name is None:
+                if seen is None:
+                    seen = {current}
                 candidate = normalize_name(rr.cname_target)
                 if candidate not in seen:
                     next_name = candidate
-        if next_name is not None:
-            current = next_name
-            seen.add(current)
-            progressed = True
-    if not ttls:
-        return None
-    return min(ttls)
+        if next_name is None:
+            return smallest
+        current = next_name
+        seen.add(current)

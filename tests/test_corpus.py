@@ -151,6 +151,26 @@ def any_records(draw, number=any_number):
 
 
 @st.composite
+def repeating_records(draw):
+    """Records whose server, domain and method each come from a pool of at
+    most two, so most observations repeat a (server, domain, method) and
+    some differ in one field only, mixed with records with arbitrary fields."""
+    text = st.one_of(any_text,
+                     st.sampled_from(["sim", "a.test", "%s", '%%"\\', "\u00e9\ud800"]))
+    pools = [draw(st.lists(text, min_size=1, max_size=2)) for _ in range(3)]
+    number = st.one_of(any_number, st.booleans())
+    items = []
+    for _ in range(draw(st.integers(1, 10))):
+        if draw(st.integers(0, 3)) == 0:
+            items.append(draw(any_records(number=number)))
+        else:
+            server, domain, method = (draw(st.sampled_from(pool)) for pool in pools)
+            items.append(RefreshObservation(server, domain, method, draw(number), draw(number),
+                                            draw(number), draw(st.one_of(st.none(), number))))
+    return items
+
+
+@st.composite
 def loadable_records(draw):
     """Records that pass validation: arbitrary text, special floats."""
     if draw(st.booleans()):
@@ -220,6 +240,26 @@ class TestJsonlLog:
                 == [record_line(o, scan_id) for o in observations])
         assert ([record_line(e, scan_id) for e in log.errors]
                 == [record_line(e, scan_id) for e in errors])
+
+    @given(repeating_records(), any_text)
+    def test_a_writer_writes_the_record_lines(self, tmp_path_factory, items, scan_id):
+        # the writer keeps the text around an observation's numbers per
+        # (server, domain, method); its bytes must still be record_line's
+        path = tmp_path_factory.mktemp("log") / "log.jsonl"
+        expected = []
+        with open(path, "w", encoding="utf-8") as handle:
+            writer = ObservationWriter(handle, scan_id)
+            for item in items:
+                try:
+                    line = record_line(item, scan_id)
+                except (TypeError, OverflowError) as exc:
+                    with pytest.raises(type(exc)):
+                        writer.write(item)
+                    continue
+                writer.write(item)
+                expected.append(line)
+        assert path.read_text(encoding="utf-8") == "".join(expected)
+        assert writer.records_written == len(expected)
 
     def test_loaded_errors_are_the_written_ones_and_write_back_their_bytes(self, tmp_path):
         path = tmp_path / "log.jsonl"

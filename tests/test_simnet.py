@@ -185,6 +185,12 @@ class TestConfigValidation:
         ('{"ttl_policy": {"mode": "override", "max_ttl": true}}',
          "^ttl_policy.max_ttl must be a positive integer, got True"),
         ('{"seed": false}', "^seed must be an integer, got False"),
+        # names that normalise alike, and inet_aton shorthand for 10.0.0.1
+        ('{"zones": {"A.test": {"ttl": 60}, "a.test.": {"ttl": 300}}}',
+         "^zone names 'A.test' and 'a.test.' are the same name 'a.test'"),
+        *[(f'{{"zones": {{"a.test": {{"address": "{address}", "ttl": 60}}}}}}',
+           f"^zone 'a.test': bad address '{address}', want a dotted-quad IPv4 address")
+          for address in ("10.1", "167772161", "0x0a.0.0.1", "10.0.0.1 ")],
     ])
     def test_a_malformed_scenario_is_a_config_error_naming_its_field(self, overrides,
                                                                      message):
@@ -267,6 +273,23 @@ class TestEventLog:
         for e in log:
             sha.update(repr((repr(e.at), e.kind, e.domain, e.cause)).encode())
         assert sha.hexdigest() == digest
+
+    def test_every_probe_crosses_each_codec_function_once_through_the_module(
+            self, monkeypatch):
+        # A tracer sees the codec by replacing these module attributes, and
+        # counts a probe's attempts as its wire.encode_query spans; a layer
+        # that called a codec function bound elsewhere would slip past it.
+        names = ("encode_query", "decode_query", "encode_response", "decode_response")
+        counts = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, _name=name, _codec=getattr(wire, name), **kwargs):
+                counts[_name] += 1
+                return _codec(*args, **kwargs)
+            monkeypatch.setattr(wire, name, counted)
+        log = pinned_log_batch().sim.log
+        probes = sum(1 for e in log if e.kind == "probe_query")
+        assert probes > 50
+        assert counts == dict.fromkeys(names, probes)
 
     def test_is_a_read_only_sequence_of_sim_events(self):
         log = mixed_sim().log
