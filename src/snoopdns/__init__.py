@@ -7,8 +7,7 @@ validating every estimator offline.
 """
 
 from .clock import Clock, SystemClock, VirtualClock
-from .corpus import (ObservationLog, ObservationWriter, ParseError,
-                     ResolverUnreachable, liveness_filter, load_domain_list,
+from .corpus import (ObservationLog, ObservationWriter, ParseError, load_domain_list,
                      load_observations)
 from .engine import (INVALIDATING_KINDS, CycleError, DiscoveryMachine,
                      InconsistentTtl, InsufficientSeparation, MaxTtlEstimate,
@@ -35,8 +34,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Clock", "SystemClock", "VirtualClock",
-    "ObservationLog", "ObservationWriter", "ParseError", "ResolverUnreachable",
-    "liveness_filter", "load_domain_list", "load_observations",
+    "ObservationLog", "ObservationWriter", "ParseError", "load_domain_list",
+    "load_observations",
     "INVALIDATING_KINDS", "CycleError", "DiscoveryMachine", "InconsistentTtl",
     "InsufficientSeparation", "MaxTtlEstimate", "Rd0Machine", "RdBehavior",
     "RefreshObservation", "SnoopError", "TimingCalibration", "TimingMachine",

@@ -89,8 +89,6 @@ def _build_parser() -> _Parser:
                    help="cycle budget per domain instead of a duration")
     p.add_argument("--calibration-domain",
                    help="zone for timing-method calibration probes")
-    p.add_argument("--liveness", action="store_true", default=None,
-                   help="pre-filter dead domains (3 resolution rounds, 60s apart)")
     p.add_argument("--scan-id", help="identifier stamped on every record")
     p.add_argument("--out", help="append JSONL records here (default stdout)")
 
@@ -343,15 +341,6 @@ def cmd_snoop(args) -> int:
     prober = _make_prober(args, config)
     clock = prober.clock
     with prober.transport:
-        if _setting(args, config, "liveness", False, bool):
-            live, dead = corpus.liveness_filter(prober, clock, server, domains)
-            for domain in dead:
-                print(f"skipping {domain}: never resolved", file=sys.stderr)
-            domains = live
-            if not domains:
-                print("error: no live domains to snoop", file=sys.stderr)
-                return 2
-
         if max_ttls is None:
             found, failed = scan.discover_all(prober, clock, server, domains,
                                               required_confirmations=confirmations)

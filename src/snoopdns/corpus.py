@@ -2,7 +2,9 @@
 
 Input side: domain lists arrive either as plain text (one name per
 line, # comments) or as CSV ranking exports with a domain column, and
-load as their valid names plus a count of the names skipped.
+load as their valid names plus a count of the names skipped. Whether
+a name resolves is not checked here: discovery drops one that gives no
+usable answer FAILURE_LIMIT times in a row.
 Output side: observations stream to JSON Lines, one self-contained
 record per line, so a crashed or interrupted scan loses at most the
 line being written and partial logs stay loadable.
@@ -14,12 +16,10 @@ import threading
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from math import isfinite
-from typing import Iterable, TextIO
+from typing import TextIO
 
 from . import wire
-from .clock import Clock
-from .engine import CycleError, RefreshObservation, SnoopError
-from .transport import Prober, ProbeTimeout
+from .engine import CycleError, RefreshObservation
 
 SCHEMA_VERSION = 1
 # the fields every record carries as a JSON string
@@ -28,11 +28,6 @@ _TEXT_KEYS = ("server", "domain", "method", "scan_id")
 
 class ParseError(ValueError):
     """Input file cannot be understood; message carries the line number."""
-
-
-class ResolverUnreachable(SnoopError):
-    """Every probe in a liveness round timed out: the server is down,
-    not the domains."""
 
 
 def load_domain_list(path: str) -> tuple[list[str], int]:
@@ -68,56 +63,6 @@ def load_domain_list(path: str) -> tuple[list[str], int]:
         else:
             names[name] = None
     return list(names), skipped
-
-
-# a domain is dead only after failing this many resolution rounds,
-# spaced at least this many seconds apart
-LIVENESS_ROUNDS = 3
-LIVENESS_SPACING = 60.0
-
-
-def liveness_filter(prober: Prober, clock: Clock, server: str,
-                    domains: Iterable[str]) -> tuple[list[str], list[str]]:
-    """Split domains into (live, dead) by repeated resolution attempts.
-
-    A domain is dead only after failing every one of LIVENESS_ROUNDS
-    rounds, spaced at least LIVENESS_SPACING seconds apart, so a
-    transient upstream failure does not drop it. If every probe times
-    out before the server has answered anything at all, the server
-    itself is unreachable and ResolverUnreachable is raised; once it has
-    replied even once, later timeouts are charged to the domains, not
-    the server.
-    """
-    pending = list(dict.fromkeys(domains))
-    live: list[str] = []
-    order = {d: i for i, d in enumerate(pending)}
-    server_answered = False
-    for attempt in range(LIVENESS_ROUNDS):
-        if not pending:
-            break
-        if attempt > 0:
-            clock.sleep(LIVENESS_SPACING)
-        still: list[str] = []
-        timeouts = 0
-        for domain in pending:
-            try:
-                reply = prober.probe(server, domain, recursion_desired=True)
-            except ProbeTimeout:
-                timeouts += 1
-                still.append(domain)
-                continue
-            server_answered = True
-            if wire.min_answer_ttl(reply.response, domain) is not None:
-                live.append(domain)
-            else:
-                still.append(domain)
-        if timeouts == len(pending) and not server_answered:
-            raise ResolverUnreachable(
-                f"{server}: all {timeouts} liveness probes timed out")
-        pending = still
-    live.sort(key=order.__getitem__)
-    dead = sorted(pending, key=order.__getitem__)
-    return live, dead
 
 
 def record_line(item: "RefreshObservation | CycleError", scan_id: str) -> str:

@@ -85,9 +85,11 @@ CHECKPOINT_MARGIN = 2.0
 CHECKPOINT_EVERY = 16  # snoop cycles per such check; cycle 0 always checks
 DISCOVERY_ROUND_FACTOR = 8  # discovery rounds allowed per required confirmation
 TIMEOUT_BACKOFF = 5.0  # ttl_recursive/timing: seconds to the next probe after a timeout
-NOANSWER_BACKOFF = 30.0  # ... and after a ttl_recursive read with no usable answer
-# this many in a row end a domain: timeouts, unusable answers, stuck TTLs,
-# and rd0's full-TTL answers or early refreshes
+# seconds to the next probe after a ttl_recursive or discovery read with
+# no usable answer, so one transient upstream failure does not drop a name
+NOANSWER_BACKOFF = 30.0
+# this many in a row end a domain: timeouts, unusable answers (in discovery
+# too), stuck TTLs, and rd0's full-TTL answers or early refreshes
 FAILURE_LIMIT = 3
 CALIBRATION_SAMPLES = 40  # timing calibration samples per class, cached and miss
 QUALITY_FLOOR = 0.95  # share of them the threshold must put on the right side
@@ -296,7 +298,10 @@ class DiscoveryMachine:
     seen required_confirmations times within
     required_confirmations * DISCOVERY_ROUND_FACTOR rounds. A
     checkpoint probe shortly before each expiry guards the countdown
-    (see _check_countdown). When done, `estimate` holds the result, or
+    (see _check_countdown). A read with no usable answer backs off
+    NOANSWER_BACKOFF and starts over from a first read, keeping the
+    counts; the FAILURE_LIMIT-th with no counted round between them
+    fails the domain, while a timeout fails it at once. When done, `estimate` holds the result, or
     the final step returned the failure as its one CycleError item,
     method "discovery": unresolvable, timeout, server_prefetches,
     non_monotonic_ttl or discovery_budget_exceeded.
@@ -317,6 +322,7 @@ class DiscoveryMachine:
         self._last_at = 0.0
         self._counts: dict[int, int] = {}
         self._snapped: dict[int, bool] = {}
+        self._failures = 0
 
     def _fail(self, at: float, kind: str, message: str) -> tuple[None, list]:
         self.done = True
@@ -332,11 +338,13 @@ class DiscoveryMachine:
         at = reply.sent_at
         ttl = wire.min_answer_ttl(reply.response, self.domain)
         if ttl is None:
-            if self._mode == "first":
+            self._failures += 1
+            if self._failures >= FAILURE_LIMIT:
                 return self._fail(at, "unresolvable", f"{self.domain} returned no usable "
                                   f"answer (rcode {reply.response.rcode})")
-            return self._fail(at, "unresolvable",
-                              f"{self.domain} stopped resolving during discovery")
+            # as a scan does: back off, then start over from a first read
+            self._mode = "first"
+            return at + NOANSWER_BACKOFF, []
 
         if self._mode == "checkpoint":
             verdict = _check_countdown(self._last_ttl, self._last_at, ttl, at)
@@ -351,6 +359,9 @@ class DiscoveryMachine:
             self._mode = "rollover"
 
         if self._mode == "rollover":
+            # only a counted round resets the run of unusable reads, so a
+            # name that flaps between them cannot restart forever
+            self._failures = 0
             value, snapped = snap_to_grid(ttl)
             self._counts[value] = self._counts.get(value, 0) + 1
             self._snapped[value] = self._snapped.get(value, False) or snapped
@@ -445,11 +456,8 @@ def classify_timing(rtt_ms: float, calibration: TimingCalibration) -> str:
     return "abstain"
 
 
-def _window(window: float | None, max_ttl: int) -> float:
-    """The watch window past expiry: a whole max_ttl unless given, and
-    always within (0, max_ttl]."""
-    if window is None:
-        return float(max_ttl)
+def _window(window: float, max_ttl: int) -> float:
+    """The watch window past expiry, checked to lie within (0, max_ttl]."""
     if not 0 < window <= max_ttl:
         raise ValueError(f"window must be in (0, max_ttl], got {window} for {max_ttl}")
     return window
@@ -527,13 +535,15 @@ class TtlRecursiveMachine(_ProbingMachine):
     cycle (see classify_window_read). That same answer's TTL fixes the
     next expiry, so steady-state cycles cost one query. Cycle 0 and
     every CHECKPOINT_EVERY-th cycle insert a pre-expiry checkpoint probe
-    that detects servers refreshing ahead of expiry.
+    that detects servers refreshing ahead of expiry. After two
+    checkpoint_late verdicts in a row the next window is watched without
+    one, so a lagging queue cannot re-arm cycle 0's checkpoint forever.
     """
 
     method = "ttl_recursive"
 
     def __init__(self, prober: Prober, server: str, domain: str, max_ttl: int,
-                 window: float | None):
+                 window: float):
         window = _window(window, max_ttl)
         super().__init__(prober, server, domain, max_ttl)
         self.window = window
@@ -542,12 +552,14 @@ class TtlRecursiveMachine(_ProbingMachine):
         self._last_read = 0.0
         self._failures = 0
         self._static_runs = 0
+        self._late_checkpoints = 0
 
     def _arm(self, sent_at: float, ttl: int) -> float:
         """Fix the next expiry from this read and pick the next probe."""
         self._expiry = sent_at + ttl
         self._last_read = ttl
-        if self.cycles_completed % CHECKPOINT_EVERY == 0 and _checkpoint_fits(ttl):
+        if (self.cycles_completed % CHECKPOINT_EVERY == 0 and self._late_checkpoints < 2
+                and _checkpoint_fits(ttl)):
             self._mode = "checkpoint"
             return self._expiry - CHECKPOINT_MARGIN
         self._mode = "window"
@@ -592,6 +604,7 @@ class TtlRecursiveMachine(_ProbingMachine):
                                       ttl, reply.sent_at)
             if verdict is None:
                 self._static_runs = 0
+                self._late_checkpoints = 0
                 self._mode = "window"
                 return self._expiry + self.window, items
             kind, message = verdict
@@ -599,6 +612,7 @@ class TtlRecursiveMachine(_ProbingMachine):
             if kind == "checkpoint_late":
                 # the record may have been re-fetched since expiry, so
                 # no window can be watched: start over from this read
+                self._late_checkpoints += 1
                 return self._arm(reply.sent_at, ttl), items
             if kind == "server_prefetches":
                 self.done = True
@@ -610,6 +624,7 @@ class TtlRecursiveMachine(_ProbingMachine):
             return self._backoff(now), items
 
         # window probe: classifies the cycle and doubles as the next pre-probe
+        self._late_checkpoints = 0
         window_eff = reply.sent_at - self._expiry
         if window_eff > self.max_ttl + self._grace:
             # Scheduling slipped past a full cache lifetime; the read no
@@ -751,7 +766,7 @@ class TimingMachine(_ProbingMachine):
     method = "timing"
 
     def __init__(self, prober: Prober, server: str, domain: str, max_ttl: int,
-                 window: float | None, calibration: TimingCalibration):
+                 window: float, calibration: TimingCalibration):
         window = _window(window, max_ttl)
         super().__init__(prober, server, domain, max_ttl)
         self.window = window
@@ -786,7 +801,7 @@ class TimingMachine(_ProbingMachine):
 
 
 def build_machine(method: str, prober: Prober, server: str, domain: str, *,
-                  max_ttl: int, window: float | None = None,
+                  max_ttl: int, window: float,
                   probe_interval: float | None = None,
                   calibration: TimingCalibration | None = None):
     if method == "ttl_recursive":

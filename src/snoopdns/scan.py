@@ -47,10 +47,11 @@ def discover_all(prober: Prober, clock: Clock, server: str, domains: list[str],
     maximum TTL of clock time while the prober's rate limit keeps up;
     a longer list takes its probe count divided by the rate. Returns
     (found, failed); a failed discovery maps its domain to "kind:
-    message" of the machine's CycleError and excludes it. Its retries
-    can hold the queue, but a checkpoint they push past its expiry
-    serves as that round's roll-over read, so no other domain fails
-    for it.
+    message" of the machine's CycleError and excludes it. A name that
+    does not resolve waits out its NOANSWER_BACKOFF on the same heap, so
+    it is dropped while the others' expiries run. Timeout retries can
+    hold the queue, but a checkpoint they push past its expiry serves as
+    that round's roll-over read, so no other domain fails for it.
     """
     machines = [DiscoveryMachine(prober, server, domain,
                                  required_confirmations=required_confirmations)

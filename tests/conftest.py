@@ -11,8 +11,9 @@ class TtlScriptExchange:
     """Answers each query from a script, entry by entry.
 
     Entries: int (answer that TTL), (ttl, rtt_ms) tuple, None (empty
-    NOERROR answer), "timeout" (consume the timeout and fail). Runs on
-    a virtual clock so probing timelines are exact.
+    NOERROR answer), "truncated" (empty answer with TC set), "timeout"
+    (consume the timeout and fail). Runs on a virtual clock so probing
+    timelines are exact.
     """
 
     def __init__(self, clock: VirtualClock, script, rtt_ms: float = 1.0):
@@ -37,11 +38,11 @@ class TtlScriptExchange:
         if isinstance(item, tuple):
             item, rtt = item
         answers = []
-        if item is not None:
+        if item is not None and item != "truncated":
             answers = [wire.ResourceRecord(query.qname, wire.RecordType.A,
                                            int(item), bytes([10, 0, 0, 1]))]
         data = wire.encode_response(query.id, wire.DnsQuestion(qname=query.qname),
-                                    answers)
+                                    answers, truncated=item == "truncated")
         self.clock.sleep(rtt / 1000.0)
         return data, rtt, sent
 

@@ -10,8 +10,11 @@ import types
 import pytest
 
 from snoopdns import cli
-from snoopdns.corpus import ObservationWriter
+from snoopdns.clock import VirtualClock
+from snoopdns.corpus import ObservationWriter, load_observations
 from snoopdns.engine import RefreshObservation
+from snoopdns.simnet import SimExchange, build_sim
+from snoopdns.transport import Prober
 
 
 def scenario_file(tmp_path, **overrides):
@@ -135,7 +138,7 @@ class TestExitCodes:
         path = tmp_path / "maxttls.json"
         path.write_text(json.dumps({"a.test": 60}))
         monkeypatch.setattr(cli, "_make_prober", lambda *args: pytest.fail("probed"))
-        assert cli.main(["snoop", "--server", "127.0.0.1", "--liveness", "--cycles", "1",
+        assert cli.main(["snoop", "--server", "127.0.0.1", "--cycles", "1",
                          "--max-ttls", str(path), *flags]) == 1
         assert f"error: {message}" in capsys.readouterr().err
 
@@ -493,3 +496,124 @@ class TestPipeline:
         assert cli.main(["report", "--in", str(log), "--format", "csv"]) == 0
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert [row["domain"] for row in rows] == ["alpha.test", "beta.test"]
+
+
+class ClosableSimExchange(SimExchange):
+    """A SimExchange that `with` can hold, as the commands hold a UdpExchange."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return None
+
+
+@pytest.fixture
+def sim_resolver(monkeypatch):
+    """Factory: sim_resolver(zones) points every probing command at a fresh
+    simulator of those zones, with no clients, on virtual time. Returns
+    the list of simulators built so far, one per command run."""
+
+    def install(zones, **scenario):
+        sims = []
+
+        def make_prober(args, config):
+            clock = VirtualClock()
+            sim = build_sim({"seed": 5, "zones": zones, "clients": [], **scenario},
+                            start_time=clock.now())
+            sims.append(sim)
+            return Prober(transport=ClosableSimExchange(sim, clock), clock=clock)
+
+        monkeypatch.setattr(cli, "_make_prober", make_prober)
+        return sims
+
+    return install
+
+
+ZONES = {"alpha.test": {"address": "10.0.0.1", "ttl": 60},
+         "beta.test": {"address": "10.0.0.2", "ttl": 120}}
+DEAD = "unresolvable: dead.test returned no usable answer (rcode 3)"
+
+
+class TestVirtualTimeCommands:
+    def test_discover_ttl_reports_found_and_failed_domains(self, sim_resolver, tmp_path):
+        sim_resolver(ZONES)
+        out = tmp_path / "maxttls.json"
+        assert cli.main(["discover-ttl", "--server", "sim", "--confirmations", "2",
+                         "--domains", "alpha.test,beta.test,dead.test",
+                         "--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == {
+            "server": "sim",
+            "max_ttls": {domain: {"max_ttl": ttl, "confirmations": 2,
+                                  "snapped_to_grid": False,
+                                  "candidates_seen": {str(ttl): 2}}
+                         for domain, ttl in (("alpha.test", 60), ("beta.test", 120))},
+            "failed": {"dead.test": DEAD},
+        }
+
+    def test_discover_ttl_exits_2_when_no_domain_is_found(self, sim_resolver, capsys):
+        sim_resolver(ZONES)
+        assert cli.main(["discover-ttl", "--server", "sim",
+                         "--domains", "dead.test"]) == 2
+        assert json.loads(capsys.readouterr().out)["max_ttls"] == {}
+
+    def test_snoop_skips_a_dead_name_after_three_reads_and_scans_the_rest(
+            self, sim_resolver, tmp_path, capsys):
+        sims = sim_resolver(ZONES)
+        log = tmp_path / "scan.jsonl"
+        assert cli.main(["snoop", "--server", "sim", "--confirmations", "2",
+                         "--domains", "alpha.test,dead.test,beta.test",
+                         "--duration", "600", "--scan-id", "t", "--out", str(log)]) == 0
+        assert f"skipping dead.test: {DEAD}" in capsys.readouterr().err
+        [sim] = sims
+        assert sum(e.kind == "probe_query" and e.domain == "dead.test"
+                   for e in sim.log) == 3
+        observed = load_observations(str(log)).observations
+        assert {o.domain for o in observed} == {"alpha.test", "beta.test"}
+
+    def test_a_discover_ttl_file_round_trips_through_snoop(self, sim_resolver, tmp_path):
+        sims = sim_resolver(ZONES)
+        maxttls, log = tmp_path / "maxttls.json", tmp_path / "scan.jsonl"
+        domains = ["--domains", "alpha.test,beta.test"]
+        assert cli.main(["discover-ttl", "--server", "sim", "--confirmations", "2",
+                         *domains, "--out", str(maxttls)]) == 0
+        assert cli.main(["snoop", "--server", "sim", *domains, "--cycles", "2",
+                         "--max-ttls", str(maxttls), "--scan-id", "t",
+                         "--out", str(log)]) == 0
+        observed = load_observations(str(log)).observations
+        assert sorted((o.domain, o.window_length) for o in observed) == [
+            ("alpha.test", pytest.approx(60.0, abs=1.0))] * 2 + [
+            ("beta.test", pytest.approx(120.0, abs=1.0))] * 2
+        # the maxima came from the file, so no discovery round was sent: per
+        # domain a first read, cycle 0's checkpoint and two window reads
+        assert sum(e.kind == "probe_query" for e in sims[1].log) == 8
+
+    def test_snoop_timing_calibrates_before_it_scans(self, sim_resolver, tmp_path):
+        sim_resolver({**ZONES, "cal.test": {"address": "10.0.0.3", "ttl": 3600}})
+        maxttls, log = tmp_path / "maxttls.json", tmp_path / "scan.jsonl"
+        maxttls.write_text(json.dumps({"alpha.test": 60}))
+        assert cli.main(["snoop", "--server", "sim", "--domains", "alpha.test",
+                         "--method", "timing", "--calibration-domain", "cal.test",
+                         "--max-ttls", str(maxttls), "--cycles", "3", "--scan-id", "t",
+                         "--out", str(log)]) == 0
+        observed = load_observations(str(log)).observations
+        assert [(o.method, o.censored) for o in observed] == [("timing", True)] * 3
+
+    def test_snoop_timing_refuses_a_jittery_server(self, sim_resolver, tmp_path, capsys):
+        sim_resolver({**ZONES, "cal.test": {"address": "10.0.0.3", "ttl": 3600}},
+                     rtt_model={"cached_mean": 25.0, "cached_jitter": 40.0,
+                                "recursion_extra_mean": 50.0, "recursion_jitter": 40.0})
+        maxttls = tmp_path / "maxttls.json"
+        maxttls.write_text(json.dumps({"alpha.test": 60}))
+        assert cli.main(["snoop", "--server", "sim", "--domains", "alpha.test",
+                         "--method", "timing", "--calibration-domain", "cal.test",
+                         "--max-ttls", str(maxttls), "--cycles", "3"]) == 2
+        assert "error: InsufficientSeparation: sim: cached/miss RTTs overlap" in (
+            capsys.readouterr().err)
+
+    def test_snoop_has_no_liveness_flag(self, sim_resolver, capsys):
+        sims = sim_resolver(ZONES)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["snoop", "--server", "sim", "--domains", "alpha.test",
+                      "--cycles", "1", "--liveness"])
+        assert exc.value.code == 1 and sims == []

@@ -1,4 +1,4 @@
-"""Domain lists, liveness filtering, and the JSONL observation log."""
+"""Domain lists and the JSONL observation log."""
 
 import io
 import json
@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from snoopdns.corpus import (ObservationWriter, ParseError, ResolverUnreachable,
-                             liveness_filter, load_domain_list, load_observations,
-                             observation_from_json, record_line)
+from snoopdns.corpus import (ObservationWriter, ParseError, load_domain_list,
+                             load_observations, observation_from_json, record_line)
 from snoopdns.engine import METHODS, CycleError, RefreshObservation
 
 
@@ -63,37 +62,6 @@ class TestDomainLists:
         path = tmp_path / "list"
         path.write_text("example.net\nexample.org\n")
         assert load_domain_list(str(path))[0] == ["example.net", "example.org"]
-
-
-class TestLivenessFilter:
-    def test_second_round_rescues_a_flaky_domain(self, scripted):
-        script = [60, None, "timeout",   # round 1: a up, b empty, c silent
-                  60, "timeout",         # round 2: b up now, c still silent
-                  "timeout"]             # round 3: c alone, still silent
-        prober, clock, _ = scripted(script)
-        live, dead = liveness_filter(prober, clock, "sim",
-                                     ["a.test", "b.test", "c.test"])
-        assert live == ["a.test", "b.test"]
-        assert dead == ["c.test"]
-        assert clock.now() >= 120.0  # two waits between three rounds
-
-    def test_rounds_are_spaced_apart(self, scripted):
-        prober, clock, exchange = scripted([None, None, None])
-        liveness_filter(prober, clock, "sim", ["a.test"])
-        gaps = [b - a for a, b in zip(exchange.sent_at, exchange.sent_at[1:])]
-        assert all(gap >= 60.0 for gap in gaps)
-
-    def test_whole_round_of_timeouts_means_the_server_is_down(self, scripted):
-        prober, clock, _ = scripted(["timeout", "timeout"])
-        with pytest.raises(ResolverUnreachable):
-            liveness_filter(prober, clock, "sim", ["a.test", "b.test"])
-
-    def test_order_is_preserved(self, scripted):
-        prober, clock, _ = scripted([60, 60, 60])
-        live, dead = liveness_filter(prober, clock, "sim",
-                                     ["z.test", "m.test", "a.test"])
-        assert live == ["z.test", "m.test", "a.test"]
-        assert dead == []
 
 
 def sample_observation(censored=False):

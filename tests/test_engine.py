@@ -11,7 +11,7 @@ from snoopdns.engine import (CycleError, DiscoveryMachine, InconsistentTtl,
                              check_rd_behavior, classify_timing,
                              classify_window_read, discover_max_ttl,
                              snap_to_grid, ttl_grace)
-from snoopdns.scan import run_scan
+from snoopdns.scan import discover_all, run_scan
 from snoopdns.simnet import SimExchange, build_sim
 from snoopdns.transport import Prober, ProbeTimeout
 
@@ -156,7 +156,7 @@ class TestDiscoverMaxTtl:
                              required_confirmations=2)
 
     def test_unresolvable_domain_raises(self, scripted):
-        prober, clock, _ = scripted([None])
+        prober, clock, _ = scripted([None, None, None])
         with pytest.raises(SnoopError, match=r"^unresolvable: a\.test returned no usable "
                                              r"answer \(rcode "):
             discover_max_ttl(prober, clock, "sim", "a.test")
@@ -212,8 +212,10 @@ class TestDiscoveryMachine:
         assert machine.done and machine.estimate is None
 
     def test_failure_is_kept_for_the_caller(self, scripted):
-        prober, clock, _ = scripted([None])
+        prober, clock, _ = scripted([None, None, None])
         machine = DiscoveryMachine(prober, "sim", "a.test")
+        for _ in range(2):
+            clock.sleep_until(machine.step(clock.now())[0])
         wake, items = machine.step(clock.now())
         assert wake is None and machine.done
         [error] = items
@@ -222,6 +224,53 @@ class TestDiscoveryMachine:
         assert error.message.startswith("a.test returned no usable answer (rcode ")
         assert machine.estimate is None
         assert machine.step(clock.now()) == (None, [])
+
+    def test_an_unusable_answer_is_retried_and_the_counts_kept(self, scripted):
+        # two empty answers, then a round confirms 240; a later empty
+        # checkpoint starts over from a first read with that round kept
+        script = [None, None, 240, 2, 240, None, 240, 2, 240]
+        prober, clock, exchange = scripted(script, rtt_ms=0.0)
+        machine = DiscoveryMachine(prober, "sim", "a.test", required_confirmations=2)
+        wakes = []
+        wake = clock.now()
+        while wake is not None:
+            clock.sleep_until(wake)
+            wake, items = machine.step(clock.now())
+            assert items == []
+            wakes.append(wake)
+        assert wakes == [30.0, 60.0, 298.0, 301.0, 539.0, 569.0, 807.0, 810.0, None]
+        assert machine.estimate.candidates_seen == {240: 2}
+        assert not exchange.script
+
+    def test_usable_first_reads_do_not_rescue_a_domain_that_completes_no_round(
+            self, scripted):
+        # each first read resolves and each checkpoint after it is empty
+        prober, clock, exchange = scripted([240, None] * 3, rtt_ms=0.0)
+        assert discover_all(prober, clock, "sim", ["a.test"]) == ({}, {
+            "a.test": "unresolvable: a.test returned no usable answer (rcode 0)"})
+        assert not exchange.script
+
+    def test_unusable_reads_are_spaced_by_the_backoff(self, scripted):
+        prober, clock, exchange = scripted([None, None, None])
+        discover_all(prober, clock, "sim", ["a.test"])
+        assert [b - a for a, b in zip(exchange.sent_at, exchange.sent_at[1:])] == [
+            pytest.approx(engine.NOANSWER_BACKOFF)] * 2
+
+    def test_the_third_unusable_read_in_a_row_fails_the_domain(self, scripted):
+        prober, clock, _ = scripted([240, None, None, None], rtt_ms=0.0)
+        machine = DiscoveryMachine(prober, "sim", "a.test")
+        wakes = []
+        for _ in range(3):
+            wake, items = machine.step(clock.now())
+            assert items == []
+            wakes.append(wake)
+            clock.sleep_until(wake)
+        # the empty checkpoint and the next first read each back off 30 s
+        assert wakes == [238.0, 268.0, 298.0]
+        assert machine.step(clock.now()) == (None, [CycleError(
+            "sim", "a.test", "discovery", 298.0, "unresolvable",
+            "a.test returned no usable answer (rcode 0)")])
+        assert machine.done and machine.estimate is None
 
     def test_a_timeout_is_stamped_once_the_retries_gave_up(self, scripted):
         prober, clock, _ = scripted(["timeout"])
@@ -306,6 +355,43 @@ class TestTtlRecursiveMachine:
             ("checkpoint_late", "checkpoint sent 305.0s after a read of TTL 300")]
         assert wake == 603.0
         assert not machine.done
+
+    def test_a_second_late_checkpoint_in_a_row_arms_a_window_without_one(self, scripted):
+        prober, clock, _ = scripted([300, 300, 300, 299], rtt_ms=0.0)
+        machine = TtlRecursiveMachine(prober, "sim", "a.test", max_ttl=300,
+                                      window=300.0)
+        assert machine.step(clock.now()) == (298.0, [])
+        steps = []
+        for at in (305.0, 610.0, 1210.0):
+            clock.sleep_until(at)
+            wake, items = machine.step(clock.now())
+            steps.append((wake, [getattr(i, "kind", "observation") for i in items]))
+        # the second late read expires at 910: its window read follows
+        # at 910 + 300 with no checkpoint in between
+        assert steps == [(603.0, ["checkpoint_late"]), (1210.0, ["checkpoint_late"]),
+                         (1809.0, ["observation"])]
+        assert machine.cycles_completed == 1
+
+    def test_a_truncated_reply_is_annotated_and_backs_off(self, scripted):
+        prober, clock, _ = scripted([300, "truncated", 300], rtt_ms=0.0)
+        machine = TtlRecursiveMachine(prober, "sim", "a.test", max_ttl=300,
+                                      window=300.0)
+        clock.sleep_until(machine.step(clock.now())[0])
+        assert machine.step(clock.now()) == (298.0 + engine.NOANSWER_BACKOFF, [CycleError(
+            "sim", "a.test", "ttl_recursive", 298.0, "truncated",
+            "truncated response; cycle discarded")])
+        clock.sleep_until(328.0)
+        # the next read starts over, with cycle 0's checkpoint
+        assert machine.step(clock.now()) == (626.0, [])
+
+    def test_three_unusable_answers_in_a_row_end_the_domain(self, scripted):
+        prober, clock, exchange = scripted([None, None, None])
+        result = scan_a(prober, clock, "ttl_recursive", 300, max_cycles=5)
+        assert [(e.kind, e.message) for e in result.errors] == [
+            ("unresolvable", "no usable answer (rcode 0)")] * 3
+        assert [b - a for a, b in zip(exchange.sent_at, exchange.sent_at[1:])] == [
+            pytest.approx(engine.NOANSWER_BACKOFF)] * 2
+        assert result.observations == [] and not exchange.script
 
 
 class TestSnoopDomainTtlRecursive:
