@@ -11,10 +11,10 @@ from .corpus import (ObservationLog, ObservationWriter, ParseError, load_domain_
                      load_observations)
 from .engine import (INVALIDATING_KINDS, CycleError, DiscoveryMachine,
                      InconsistentTtl, InsufficientSeparation, MaxTtlEstimate,
-                     Rd0Machine, RdBehavior, RefreshObservation, SnoopError,
+                     Rd0Machine, RefreshObservation, SnoopError,
                      TimingCalibration, TimingMachine, TtlExceedsMax,
                      TtlRecursiveMachine, build_machine, calibrate_timing,
-                     check_rd_behavior, classify_timing, classify_window_read,
+                     classify_timing, classify_window_read,
                      discover_max_ttl, snap_to_grid, ttl_grace)
 from .estimation import (ArrivalEstimate, DomainStats, NoObservations, aggregate,
                          estimate, format_ranking_table, poisson_pmf,
@@ -37,10 +37,10 @@ __all__ = [
     "ObservationLog", "ObservationWriter", "ParseError", "load_domain_list",
     "load_observations",
     "INVALIDATING_KINDS", "CycleError", "DiscoveryMachine", "InconsistentTtl",
-    "InsufficientSeparation", "MaxTtlEstimate", "Rd0Machine", "RdBehavior",
+    "InsufficientSeparation", "MaxTtlEstimate", "Rd0Machine",
     "RefreshObservation", "SnoopError", "TimingCalibration", "TimingMachine",
     "TtlExceedsMax", "TtlRecursiveMachine", "build_machine",
-    "calibrate_timing", "check_rd_behavior", "classify_timing",
+    "calibrate_timing", "classify_timing",
     "classify_window_read", "discover_max_ttl", "snap_to_grid", "ttl_grace",
     "ArrivalEstimate", "DomainStats", "NoObservations", "aggregate",
     "estimate", "format_ranking_table", "poisson_pmf", "rank_domains",

@@ -17,14 +17,18 @@ methods recover when a domain's record was last refreshed:
   timing         response-time classification for servers whose TTL
                  values cannot be trusted; needs calibration.
 
-Maximum-TTL discovery and the probing machines are stepped by a
-scheduler rather than sleeping internally, so one thread can interleave
-many domains on either a virtual or the real clock. That scheduler is
-_run_machines, at the end of this module: scan runs every scan and
-discovery on it, and discover_max_ttl drives a single machine on it.
-Every machine reports a fault as a CycleError item of the step that met it,
-and each completed cycle as a RefreshObservation: the watched window and
-the first refresh's delay into it, None when the window is censored.
+Maximum-TTL discovery and the probing machines decide and never send:
+a machine holds no prober and no clock. Its recursion_desired names the
+probe it wants at its wake, and step(now, reply) takes that probe's
+ProbeReply, or the ProbeTimeout the prober raised, and returns the next
+wake. The one scheduler that sends is _run_machines, at the end of this
+module: it sleeps to the earliest wake, probes and steps, so one thread
+interleaves many domains on either a virtual or the real clock. scan
+runs every scan and discovery on it, and discover_max_ttl drives a
+single machine on it. Every machine reports a fault as a CycleError item
+of the step that met it, and each completed cycle as a
+RefreshObservation: the watched window and the first refresh's delay
+into it, None when the window is censored.
 
 Each check of that invariant has one home: classify_window_read,
 _checkpoint_fits, _check_countdown, _window, and the _adopt_max and
@@ -89,7 +93,8 @@ TIMEOUT_BACKOFF = 5.0  # ttl_recursive/timing: seconds to the next probe after a
 # no usable answer, so one transient upstream failure does not drop a name
 NOANSWER_BACKOFF = 30.0
 # this many in a row end a domain: timeouts, unusable answers (in discovery
-# too), stuck TTLs, and rd0's full-TTL answers or early refreshes
+# too), stuck TTLs, timing's abstains, and rd0's full-TTL answers or early
+# refreshes
 FAILURE_LIMIT = 3
 CALIBRATION_SAMPLES = 40  # timing calibration samples per class, cached and miss
 QUALITY_FLOOR = 0.95  # share of them the threshold must put on the right side
@@ -181,13 +186,6 @@ class CycleError:
 
 
 @dataclass
-class RdBehavior:
-    server: str
-    honors_rd0: bool
-    evidence: list[dict] = field(default_factory=list)
-
-
-@dataclass
 class TimingCalibration:
     """Response-time model separating cache hits from misses."""
 
@@ -225,36 +223,6 @@ def classify_window_read(t_prime: float, max_ttl: float, window: float) -> float
         raise InconsistentTtl(
             f"read {t_prime} implies a refresh {-delay:.1f}s before expiry")
     return min(max(delay, 0.0), window)
-
-
-def check_rd_behavior(prober: Prober, server: str, canary_domains: list[str]) -> RdBehavior:
-    """Classify whether a server honors RD=0 (no recursion on miss).
-
-    Sends non-recursive queries for canary names that cannot already be
-    cached. Any answer records mean the server recursed anyway. The
-    evidence list records each exchange; on timeout it rides along on
-    the raised error.
-    """
-    if not canary_domains:
-        raise ValueError("at least one canary domain is required")
-    evidence: list[dict] = []
-    honors = True
-    for name in canary_domains:
-        try:
-            reply = prober.probe(server, name, recursion_desired=False)
-        except ProbeTimeout as exc:
-            raise ProbeTimeout(f"rd0 check against {server} timed out on {name}",
-                               evidence=evidence) from exc
-        answers = reply.response.answers
-        evidence.append({
-            "domain": name,
-            "rcode": int(reply.response.rcode),
-            "answer_count": len(answers),
-            "ttls": [rr.ttl for rr in answers],
-        })
-        if answers:
-            honors = False
-    return RdBehavior(server=server, honors_rd0=honors, evidence=evidence)
 
 
 def _check_countdown(last_ttl: int, last_at: float, ttl: int,
@@ -304,14 +272,15 @@ class DiscoveryMachine:
     fails the domain, while a timeout fails it at once. When done, `estimate` holds the result, or
     the final step returned the failure as its one CycleError item,
     method "discovery": unresolvable, timeout, server_prefetches,
-    non_monotonic_ttl or discovery_budget_exceeded.
+    non_monotonic_ttl or discovery_budget_exceeded. A timeout is stamped
+    when the retries gave up.
     """
 
-    def __init__(self, prober: Prober, server: str, domain: str,
-                 required_confirmations: int = 5):
+    recursion_desired = True
+
+    def __init__(self, server: str, domain: str, required_confirmations: int = 5):
         if required_confirmations < 1:
             raise ValueError("required_confirmations must be at least 1")
-        self.prober = prober
         self.server = server
         self.domain = domain
         self.required = required_confirmations
@@ -328,13 +297,11 @@ class DiscoveryMachine:
         self.done = True
         return None, [CycleError(self.server, self.domain, "discovery", at, kind, message)]
 
-    def step(self, now: float) -> tuple[float | None, list]:
+    def step(self, now: float, reply: ProbeReply | ProbeTimeout) -> tuple[float | None, list]:
         if self.done:
             return None, []
-        try:
-            reply = self.prober.probe(self.server, self.domain, recursion_desired=True)
-        except ProbeTimeout as exc:
-            return self._fail(self.prober.clock.now(), "timeout", str(exc))
+        if isinstance(reply, ProbeTimeout):
+            return self._fail(reply.at, "timeout", str(reply))
         at = reply.sent_at
         ttl = wire.min_answer_ttl(reply.response, self.domain)
         if ttl is None:
@@ -396,10 +363,9 @@ def discover_max_ttl(prober: Prober, clock: Clock, server: str, domain: str,
     as SnoopError("kind: message"). scan.discover_all runs many domains
     at once.
     """
-    machine = DiscoveryMachine(prober, server, domain,
-                               required_confirmations=required_confirmations)
+    machine = DiscoveryMachine(server, domain, required_confirmations=required_confirmations)
     failed: list[CycleError] = []
-    _run_machines(clock, [machine], clock.now(), failed.extend)
+    _run_machines(prober, [machine], clock.now(), failed.extend)
     if failed:
         raise SnoopError(f"{failed[0].kind}: {failed[0].message}")
     return machine.estimate
@@ -468,13 +434,14 @@ class _ProbingMachine:
     completed-cycle count that max_cycles budgets read, and the run of
     timeouts that ends the domain at FAILURE_LIMIT in a row. _adopt_max
     is the one place a stale maximum (and its ttl_grace, _grace) is
-    replaced, _observe the one place a completed cycle is recorded. step
+    replaced, _observe the one place a completed cycle is recorded, and
+    _answered the one place a timeout is counted. step(now, reply)
     returns (next wake, items), the wake None exactly when it is done."""
 
     method: str
+    recursion_desired = True
 
-    def __init__(self, prober: Prober, server: str, domain: str, max_ttl: int):
-        self.prober = prober
+    def __init__(self, server: str, domain: str, max_ttl: int):
         self.server = server
         self.domain = domain
         self.max_ttl = max_ttl
@@ -506,25 +473,21 @@ class _ProbingMachine:
         self._grace = ttl_grace(self.max_ttl)
         return True
 
-    def _probe(self, items: list, recursion_desired: bool = True,
-               stamp: float | None = None) -> ProbeReply | None:
-        """Send one probe, or annotate its timeout and return None.
+    def _answered(self, items: list, reply: ProbeReply | ProbeTimeout,
+                  stamp: float | None = None) -> ProbeReply | None:
+        """The reply, or None after annotating a timeout.
 
         The timeout is stamped at `stamp`, or once the retries gave up
         when it is None.
         """
-        try:
-            reply = self.prober.probe(self.server, self.domain,
-                                      recursion_desired=recursion_desired)
-        except ProbeTimeout as exc:
-            self._timeouts += 1
-            at = self.prober.clock.now() if stamp is None else stamp
-            items.append(self._error(at, "timeout", str(exc)))
-            if self._timeouts >= FAILURE_LIMIT:
-                self.done = True
-            return None
-        self._timeouts = 0
-        return reply
+        if not isinstance(reply, ProbeTimeout):
+            self._timeouts = 0
+            return reply
+        self._timeouts += 1
+        items.append(self._error(reply.at if stamp is None else stamp, "timeout", str(reply)))
+        if self._timeouts >= FAILURE_LIMIT:
+            self.done = True
+        return None
 
 
 class TtlRecursiveMachine(_ProbingMachine):
@@ -538,14 +501,15 @@ class TtlRecursiveMachine(_ProbingMachine):
     that detects servers refreshing ahead of expiry. After two
     checkpoint_late verdicts in a row the next window is watched without
     one, so a lagging queue cannot re-arm cycle 0's checkpoint forever.
+    Only a window read resets the run of unusable answers, so a name
+    whose checkpoints keep coming back empty still ends.
     """
 
     method = "ttl_recursive"
 
-    def __init__(self, prober: Prober, server: str, domain: str, max_ttl: int,
-                 window: float):
+    def __init__(self, server: str, domain: str, max_ttl: int, window: float):
         window = _window(window, max_ttl)
-        super().__init__(prober, server, domain, max_ttl)
+        super().__init__(server, domain, max_ttl)
         self.window = window
         self._mode = "init"
         self._expiry = 0.0
@@ -571,11 +535,11 @@ class TtlRecursiveMachine(_ProbingMachine):
             return None
         return now + (TIMEOUT_BACKOFF if self._timeouts else NOANSWER_BACKOFF)
 
-    def step(self, now: float) -> tuple[float | None, list]:
+    def step(self, now: float, reply: ProbeReply | ProbeTimeout) -> tuple[float | None, list]:
         items: list = []
         if self.done:
             return None, items
-        reply = self._probe(items)
+        reply = self._answered(items, reply)
         ttl = None
         if reply is not None and reply.response.truncated:
             items.append(self._error(reply.sent_at, "truncated",
@@ -588,8 +552,6 @@ class TtlRecursiveMachine(_ProbingMachine):
                                          f"no usable answer (rcode {reply.response.rcode})"))
                 if self._failures >= FAILURE_LIMIT:
                     self.done = True
-            else:
-                self._failures = 0
         if ttl is None:
             # no usable read: the next one starts over
             self._mode = "init"
@@ -625,6 +587,7 @@ class TtlRecursiveMachine(_ProbingMachine):
 
         # window probe: classifies the cycle and doubles as the next pre-probe
         self._late_checkpoints = 0
+        self._failures = 0
         window_eff = reply.sent_at - self._expiry
         if window_eff > self.max_ttl + self._grace:
             # Scheduling slipped past a full cache lifetime; the read no
@@ -668,8 +631,9 @@ class Rd0Machine(_ProbingMachine):
     """
 
     method = "rd0"
+    recursion_desired = False
 
-    def __init__(self, prober: Prober, server: str, domain: str, max_ttl: int,
+    def __init__(self, server: str, domain: str, max_ttl: int,
                  probe_interval: float | None = None):
         if probe_interval is None:
             probe_interval = max_ttl / 2.0
@@ -677,18 +641,18 @@ class Rd0Machine(_ProbingMachine):
             raise ValueError(
                 f"probe_interval must be in (0, max_ttl] so no refresh is missed, "
                 f"got {probe_interval} for {max_ttl}")
-        super().__init__(prober, server, domain, max_ttl)
+        super().__init__(server, domain, max_ttl)
         self.interval = probe_interval
         self._last_probe: float | None = None
         self._last_refresh: float | None = None
         self._fetch_signatures = 0
         self._early_refreshes = 0
 
-    def step(self, now: float) -> tuple[float | None, list]:
+    def step(self, now: float, reply: ProbeReply | ProbeTimeout) -> tuple[float | None, list]:
         items: list = []
         if self.done:
             return None, items
-        reply = self._probe(items, recursion_desired=False, stamp=now)
+        reply = self._answered(items, reply, stamp=now)
         if reply is None:
             return (None if self.done else now + self.interval), items
         sent = reply.sent_at
@@ -760,24 +724,25 @@ class TimingMachine(_ProbingMachine):
     nothing had refreshed the record (censored window, and our probe
     refreshed it); a cached-classed RTT means some client did, at an
     unknown instant imputed to the window midpoint. Abstentions discard
-    the cycle.
+    the cycle, and FAILURE_LIMIT of them in a row end the domain.
     """
 
     method = "timing"
 
-    def __init__(self, prober: Prober, server: str, domain: str, max_ttl: int,
-                 window: float, calibration: TimingCalibration):
+    def __init__(self, server: str, domain: str, max_ttl: int, window: float,
+                 calibration: TimingCalibration):
         window = _window(window, max_ttl)
-        super().__init__(prober, server, domain, max_ttl)
+        super().__init__(server, domain, max_ttl)
         self.window = window
         self.calibration = calibration
         self._expiry_bound: float | None = None
+        self._abstains = 0
 
-    def step(self, now: float) -> tuple[float | None, list]:
+    def step(self, now: float, reply: ProbeReply | ProbeTimeout) -> tuple[float | None, list]:
         items: list = []
         if self.done:
             return None, items
-        reply = self._probe(items, stamp=now)
+        reply = self._answered(items, reply, stamp=now)
         if reply is None:
             self._expiry_bound = None
             return (None if self.done else now + TIMEOUT_BACKOFF), items
@@ -793,33 +758,40 @@ class TimingMachine(_ProbingMachine):
         if verdict == "abstain":
             items.append(self._error(sent, "abstain",
                                      f"rtt {reply.rtt_ms:.2f}ms inside the guard band"))
+            self._abstains += 1
+            if self._abstains >= FAILURE_LIMIT:
+                self.done = True
+                return None, items
         else:
+            self._abstains = 0
             self._observe(items, self._expiry_bound, window_eff, reply.rtt_ms,
                           None if verdict == "miss" else window_eff / 2.0)
         self._expiry_bound = sent + self.max_ttl
         return self._expiry_bound + self.window, items
 
 
-def build_machine(method: str, prober: Prober, server: str, domain: str, *,
+def build_machine(method: str, server: str, domain: str, *,
                   max_ttl: int, window: float,
                   probe_interval: float | None = None,
                   calibration: TimingCalibration | None = None):
     if method == "ttl_recursive":
-        return TtlRecursiveMachine(prober, server, domain, max_ttl, window)
+        return TtlRecursiveMachine(server, domain, max_ttl, window)
     if method == "rd0":
-        return Rd0Machine(prober, server, domain, max_ttl, probe_interval=probe_interval)
+        return Rd0Machine(server, domain, max_ttl, probe_interval=probe_interval)
     if method == "timing":
         if calibration is None:
             raise ValueError("timing method requires a calibration")
-        return TimingMachine(prober, server, domain, max_ttl, window, calibration)
+        return TimingMachine(server, domain, max_ttl, window, calibration)
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
-def _run_machines(clock: Clock, machines: list, start: float,
+def _run_machines(prober: Prober, machines: list, start: float,
                   emit: Callable[[list], None] | None = None, *,
                   deadline: float | None = None,
                   max_cycles: int | None = None) -> None:
-    """Step machines in wake-time order until each is done or retired.
+    """At each machine's wake, send its probe and step it with the reply
+    or the ProbeTimeout, in wake-time order on the prober's clock, until
+    every machine is done or retired.
 
     Every machine first wakes at start; ties go to the machine queued
     first. emit receives every non-empty item list a step returns. A
@@ -829,7 +801,8 @@ def _run_machines(clock: Clock, machines: list, start: float,
     heap = [(start, seq, machine) for seq, machine in enumerate(machines)]
     seq = len(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
-    sleep_until, now = clock.sleep_until, clock.now
+    sleep_until, clock_now = prober.clock.sleep_until, prober.clock.now
+    probe = prober.probe
     deadline = float("inf") if deadline is None else deadline
     while heap:
         wake, _, machine = heappop(heap)
@@ -838,7 +811,12 @@ def _run_machines(clock: Clock, machines: list, start: float,
         if max_cycles is not None and machine.cycles_completed >= max_cycles:
             continue
         sleep_until(wake)
-        next_wake, items = machine.step(now())
+        now = clock_now()
+        try:
+            reply = probe(machine.server, machine.domain, machine.recursion_desired)
+        except ProbeTimeout as exc:
+            reply = exc
+        next_wake, items = machine.step(now, reply)
         if items and emit is not None:
             emit(items)
         if next_wake is None:

@@ -2,11 +2,13 @@
 
 One thread interleaves every domain's machine through the wake-time
 heap of engine._run_machines: pop the earliest machine, sleep to its
-wake, step it, push it back. Maximum-TTL discovery and snooping both
-run on it, so every domain waits out its expiries at the same time as
-the others. On a virtual clock this replays identically for a given
-seed; on the system clock the rate limiter inside the prober keeps
-aggregate query rate at the configured cap either way.
+wake, send the probe it asks for, step it with the reply, push it back.
+The machines only decide; that loop alone sends. Maximum-TTL discovery
+and snooping both run on it, so every domain waits out its expiries at
+the same time as the others. On a virtual clock this replays
+identically for a given seed; on the system clock the rate limiter
+inside the prober keeps aggregate query rate at the configured cap
+either way.
 """
 
 import random
@@ -53,11 +55,10 @@ def discover_all(prober: Prober, clock: Clock, server: str, domains: list[str],
     hold the queue, but a checkpoint they push past its expiry serves as
     that round's roll-over read, so no other domain fails for it.
     """
-    machines = [DiscoveryMachine(prober, server, domain,
-                                 required_confirmations=required_confirmations)
+    machines = [DiscoveryMachine(server, domain, required_confirmations=required_confirmations)
                 for domain in domains]
     errors: list[CycleError] = []
-    _run_machines(clock, machines, clock.now(), errors.extend)
+    _run_machines(prober, machines, clock.now(), errors.extend)
     found = {m.domain: m.estimate for m in machines if m.estimate is not None}
     return found, {e.domain: f"{e.kind}: {e.message}" for e in errors}
 
@@ -99,7 +100,7 @@ def run_scan(prober: Prober, clock: Clock, server: str, domains: list[str], *,
                                       f"maximum TTL {ttl}s, so refreshes could go unseen")
             continue
         machines.append(build_machine(
-            method, prober, server, domain, max_ttl=ttl,
+            method, server, domain, max_ttl=ttl,
             window=window_fraction * ttl, probe_interval=probe_interval,
             calibration=calibration))
 
@@ -115,7 +116,7 @@ def run_scan(prober: Prober, clock: Clock, server: str, domains: list[str], *,
                 writer.write(item)
 
     if duration is None or duration > 0:
-        _run_machines(clock, machines, start, emit,
+        _run_machines(prober, machines, start, emit,
                       deadline=None if duration is None else start + duration,
                       max_cycles=max_cycles)
 

@@ -21,11 +21,12 @@ from .ratelimit import RateLimiter
 
 
 class ProbeTimeout(TimeoutError):
-    """No response within the retry budget."""
+    """No response within the retry budget. at is the clock time at which
+    the prober gave up, None when a transport raised it for one attempt."""
 
-    def __init__(self, message: str, evidence: list | None = None):
+    def __init__(self, message: str, at: float | None = None):
         super().__init__(message)
-        self.evidence = evidence or []
+        self.at = at
 
 
 class Exchange(Protocol):
@@ -170,5 +171,5 @@ class Prober:
                 continue
             return ProbeReply(response, rtt_ms, sent_at)
         raise ProbeTimeout(
-            f"query for {name} against {server} failed after {attempts} attempts"
-        ) from last_error
+            f"query for {name} against {server} failed after {attempts} attempts",
+            at=self.clock.now()) from last_error

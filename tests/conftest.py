@@ -1,10 +1,27 @@
-"""Shared helpers: a scripted resolver transport for exact engine tests."""
+"""Shared helpers: a scripted resolver transport for exact engine tests,
+and bare prober results for stepping a machine without one."""
 
 import pytest
 
 from snoopdns import wire
 from snoopdns.clock import VirtualClock
-from snoopdns.transport import Prober, ProbeTimeout
+from snoopdns.transport import ProbeReply, Prober, ProbeTimeout
+
+
+def reply(item, at: float, rtt_ms: float = 1.0, name: str = "a.test"):
+    """What the prober hands a machine's step for one TtlScriptExchange
+    entry: a ProbeReply sent at `at`, or for "timeout" the ProbeTimeout
+    of a prober with retries off that gave up at `at`."""
+    if item == "timeout":
+        return ProbeTimeout(f"query for {name} against sim failed after 1 attempts", at=at)
+    if isinstance(item, tuple):
+        item, rtt_ms = item
+    answers = []
+    if item is not None and item != "truncated":
+        answers = [wire.ResourceRecord(name, wire.RecordType.A, int(item),
+                                       bytes([10, 0, 0, 1]))]
+    response = wire.DnsResponse(0, 0, True, answers, truncated=item == "truncated")
+    return ProbeReply(response, rtt_ms, at)
 
 
 class TtlScriptExchange:
@@ -34,17 +51,12 @@ class TtlScriptExchange:
             raise ProbeTimeout("scripted timeout")
         query = wire.decode_query(payload)
         self.queries.append(query)
-        rtt = self.rtt_ms
-        if isinstance(item, tuple):
-            item, rtt = item
-        answers = []
-        if item is not None and item != "truncated":
-            answers = [wire.ResourceRecord(query.qname, wire.RecordType.A,
-                                           int(item), bytes([10, 0, 0, 1]))]
+        result = reply(item, sent, self.rtt_ms, query.qname)
         data = wire.encode_response(query.id, wire.DnsQuestion(qname=query.qname),
-                                    answers, truncated=item == "truncated")
-        self.clock.sleep(rtt / 1000.0)
-        return data, rtt, sent
+                                    result.response.answers,
+                                    truncated=result.response.truncated)
+        self.clock.sleep(result.rtt_ms / 1000.0)
+        return data, result.rtt_ms, sent
 
 
 @pytest.fixture

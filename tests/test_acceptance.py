@@ -17,8 +17,7 @@ from snoopdns import cli
 from snoopdns.clock import VirtualClock
 from snoopdns.corpus import load_observations
 from snoopdns.engine import (InsufficientSeparation, RefreshObservation, SnoopError,
-                             calibrate_timing, check_rd_behavior, classify_timing,
-                             discover_max_ttl)
+                             calibrate_timing, classify_timing, discover_max_ttl)
 from snoopdns.estimation import aggregate, estimate, rank_domains, write_ranking_csv
 from snoopdns.scan import run_batch, run_scan
 from snoopdns.simnet import SimExchange, build_sim, config_from_dict, serve_udp
@@ -171,7 +170,9 @@ def test_max_ttl_discovery_is_exact_and_flags_prefetchers():
 
 def test_rd_policy_classification_twenty_for_twenty():
     """Whether a resolver honors recursion-desired=0 must be classified
-    correctly in all 20 trials across both policies."""
+    correctly in all 20 trials across both policies, by the rd0 scan
+    itself: it aborts the domain exactly when the resolver recurses on
+    its RD=0 probes."""
     correct = 0
     for trial in range(20):
         policy = "honor" if trial % 2 == 0 else "ignore"
@@ -179,8 +180,9 @@ def test_rd_policy_classification_twenty_for_twenty():
             "seed": trial + 1, "rd_policy": policy,
             "zones": {"rd.test": {"address": "10.0.0.9", "ttl": 300}},
             "clients": []}, salt=trial)
-        behavior = check_rd_behavior(prober, "sim", [f"c{trial}.rd.test"])
-        correct += behavior.honors_rd0 == (policy == "honor")
+        result = run_scan(prober, clock, "sim", ["rd.test"], max_ttls={"rd.test": 300},
+                          method="rd0", duration=3000.0)
+        correct += ("rd.test" not in result.aborted) == (policy == "honor")
     check("rd policy classification", correct == 20, f"correct={correct}/20")
 
 

@@ -7,13 +7,15 @@ from snoopdns.clock import VirtualClock
 from snoopdns.engine import (CycleError, DiscoveryMachine, InconsistentTtl,
                              InsufficientSeparation, Rd0Machine,
                              RefreshObservation, SnoopError, TimingCalibration,
-                             TtlExceedsMax, TtlRecursiveMachine, calibrate_timing,
-                             check_rd_behavior, classify_timing,
+                             TimingMachine, TtlExceedsMax, TtlRecursiveMachine,
+                             build_machine, calibrate_timing, classify_timing,
                              classify_window_read, discover_max_ttl,
                              snap_to_grid, ttl_grace)
 from snoopdns.scan import discover_all, run_scan
 from snoopdns.simnet import SimExchange, build_sim
-from snoopdns.transport import Prober, ProbeTimeout
+from snoopdns.transport import Prober
+
+from conftest import reply
 
 
 def sim_prober(config, seed_salt=0):
@@ -32,6 +34,16 @@ def quiet_zone(ttl=300, **overrides):
               "clients": []}
     config.update(overrides)
     return config
+
+
+def at_wakes(machine, script, start=0.0):
+    """Step a machine through script, each reply sent at the wake the
+    machine asked for; returns every step's (next wake, items)."""
+    steps, wake = [], start
+    for item in script:
+        wake, items = machine.step(wake, reply(item, at=wake))
+        steps.append((wake, items))
+    return steps
 
 
 def scan_a(prober, clock, method, max_ttl, calibration=None, **budget):
@@ -169,78 +181,55 @@ class TestDiscoverMaxTtl:
 
 
 class TestDiscoveryMachine:
-    def test_plans_each_wake_instead_of_sleeping(self, scripted):
-        prober, clock, exchange = scripted([240, 2, 240, 2, 240], rtt_ms=0.0)
-        machine = DiscoveryMachine(prober, "sim", "a.test", required_confirmations=2)
-        wakes = []
-        wake = clock.now()
-        while wake is not None:
-            clock.sleep_until(wake)
-            woke = clock.now()
-            wake, items = machine.step(woke)
-            assert clock.now() == woke  # zero RTT: the step itself never waits
-            assert items == []
-            wakes.append(wake)
+    def test_plans_each_wake_instead_of_sleeping(self):
+        machine = DiscoveryMachine("sim", "a.test", required_confirmations=2)
         # first read, then per round a checkpoint 2 s before expiry and
         # a roll-over read 1 s after it
-        assert wakes == [238.0, 241.0, 479.0, 482.0, None]
+        assert at_wakes(machine, [240, 2, 240, 2, 240]) == [
+            (238.0, []), (241.0, []), (479.0, []), (482.0, []), (None, [])]
         assert machine.done
         assert machine.estimate.candidates_seen == {240: 2}
 
-    def test_a_checkpoint_sent_after_expiry_is_the_roll_over_read(self, scripted):
-        prober, clock, _ = scripted([240, 240, 2, 240], rtt_ms=0.0)
-        machine = DiscoveryMachine(prober, "sim", "a.test", required_confirmations=2)
-        assert machine.step(clock.now()) == (238.0, [])
+    def test_a_checkpoint_sent_after_expiry_is_the_roll_over_read(self):
+        machine = DiscoveryMachine("sim", "a.test", required_confirmations=2)
+        assert machine.step(0.0, reply(240, at=0.0)) == (238.0, [])
         # a busy scheduler runs the checkpoint 5 s past the expiry; the
         # record was re-fetched at the maximum, which counts as a round
-        clock.sleep_until(245.0)
-        assert machine.step(clock.now()) == (483.0, [])
-        clock.sleep_until(483.0)
-        assert machine.step(clock.now()) == (486.0, [])
-        clock.sleep_until(486.0)
-        assert machine.step(clock.now()) == (None, [])
+        assert machine.step(245.0, reply(240, at=245.0)) == (483.0, [])
+        assert machine.step(483.0, reply(2, at=483.0)) == (486.0, [])
+        assert machine.step(486.0, reply(240, at=486.0)) == (None, [])
         assert machine.estimate.candidates_seen == {240: 2}
 
-    def test_a_late_checkpoint_over_a_second_before_expiry_is_judged(self, scripted):
-        prober, clock, _ = scripted([240, 240], rtt_ms=0.0)
-        machine = DiscoveryMachine(prober, "sim", "a.test", required_confirmations=2)
-        machine.step(clock.now())
-        clock.sleep_until(238.5)  # 1.5 s left: the record cannot have expired
-        assert machine.step(clock.now()) == (None, [CycleError(
+    def test_a_late_checkpoint_over_a_second_before_expiry_is_judged(self):
+        machine = DiscoveryMachine("sim", "a.test", required_confirmations=2)
+        machine.step(0.0, reply(240, at=0.0))
+        # 1.5 s left: the record cannot have expired
+        assert machine.step(238.5, reply(240, at=238.5)) == (None, [CycleError(
             "sim", "a.test", "discovery", 238.5, "non_monotonic_ttl",
             "a.test: TTL stuck at 240 across 238s")])
         assert machine.done and machine.estimate is None
 
-    def test_failure_is_kept_for_the_caller(self, scripted):
-        prober, clock, _ = scripted([None, None, None])
-        machine = DiscoveryMachine(prober, "sim", "a.test")
-        for _ in range(2):
-            clock.sleep_until(machine.step(clock.now())[0])
-        wake, items = machine.step(clock.now())
+    def test_failure_is_kept_for_the_caller(self):
+        machine = DiscoveryMachine("sim", "a.test")
+        wake, items = at_wakes(machine, [None, None, None])[-1]
         assert wake is None and machine.done
         [error] = items
         assert (error.server, error.domain, error.method, error.kind) == (
             "sim", "a.test", "discovery", "unresolvable")
         assert error.message.startswith("a.test returned no usable answer (rcode ")
         assert machine.estimate is None
-        assert machine.step(clock.now()) == (None, [])
+        assert machine.step(60.0, reply(240, at=60.0)) == (None, [])
 
-    def test_an_unusable_answer_is_retried_and_the_counts_kept(self, scripted):
+    def test_an_unusable_answer_is_retried_and_the_counts_kept(self):
         # two empty answers, then a round confirms 240; a later empty
         # checkpoint starts over from a first read with that round kept
         script = [None, None, 240, 2, 240, None, 240, 2, 240]
-        prober, clock, exchange = scripted(script, rtt_ms=0.0)
-        machine = DiscoveryMachine(prober, "sim", "a.test", required_confirmations=2)
-        wakes = []
-        wake = clock.now()
-        while wake is not None:
-            clock.sleep_until(wake)
-            wake, items = machine.step(clock.now())
-            assert items == []
-            wakes.append(wake)
-        assert wakes == [30.0, 60.0, 298.0, 301.0, 539.0, 569.0, 807.0, 810.0, None]
+        machine = DiscoveryMachine("sim", "a.test", required_confirmations=2)
+        steps = at_wakes(machine, script)
+        assert all(items == [] for _, items in steps)
+        assert [wake for wake, _ in steps] == [
+            30.0, 60.0, 298.0, 301.0, 539.0, 569.0, 807.0, 810.0, None]
         assert machine.estimate.candidates_seen == {240: 2}
-        assert not exchange.script
 
     def test_usable_first_reads_do_not_rescue_a_domain_that_completes_no_round(
             self, scripted):
@@ -256,34 +245,25 @@ class TestDiscoveryMachine:
         assert [b - a for a, b in zip(exchange.sent_at, exchange.sent_at[1:])] == [
             pytest.approx(engine.NOANSWER_BACKOFF)] * 2
 
-    def test_the_third_unusable_read_in_a_row_fails_the_domain(self, scripted):
-        prober, clock, _ = scripted([240, None, None, None], rtt_ms=0.0)
-        machine = DiscoveryMachine(prober, "sim", "a.test")
-        wakes = []
-        for _ in range(3):
-            wake, items = machine.step(clock.now())
-            assert items == []
-            wakes.append(wake)
-            clock.sleep_until(wake)
+    def test_the_third_unusable_read_in_a_row_fails_the_domain(self):
+        machine = DiscoveryMachine("sim", "a.test")
         # the empty checkpoint and the next first read each back off 30 s
-        assert wakes == [238.0, 268.0, 298.0]
-        assert machine.step(clock.now()) == (None, [CycleError(
-            "sim", "a.test", "discovery", 298.0, "unresolvable",
-            "a.test returned no usable answer (rcode 0)")])
+        assert at_wakes(machine, [240, None, None, None]) == [
+            (238.0, []), (268.0, []), (298.0, []),
+            (None, [CycleError("sim", "a.test", "discovery", 298.0, "unresolvable",
+                               "a.test returned no usable answer (rcode 0)")])]
         assert machine.done and machine.estimate is None
 
-    def test_a_timeout_is_stamped_once_the_retries_gave_up(self, scripted):
-        prober, clock, _ = scripted(["timeout"])
-        machine = DiscoveryMachine(prober, "sim", "a.test")
-        assert machine.step(clock.now()) == (None, [CycleError(
-            "sim", "a.test", "discovery", clock.now(), "timeout",
+    def test_a_timeout_is_stamped_once_the_retries_gave_up(self):
+        machine = DiscoveryMachine("sim", "a.test")
+        # woken at 0, the prober gave up 1 s later
+        assert machine.step(0.0, reply("timeout", at=1.0)) == (None, [CycleError(
+            "sim", "a.test", "discovery", 1.0, "timeout",
             "query for a.test against sim failed after 1 attempts")])
-        assert clock.now() > 0
 
-    def test_confirmations_must_be_positive(self, scripted):
-        prober, _, _ = scripted([])
+    def test_confirmations_must_be_positive(self):
         with pytest.raises(ValueError, match="required_confirmations"):
-            DiscoveryMachine(prober, "sim", "a.test", required_confirmations=0)
+            DiscoveryMachine("sim", "a.test", required_confirmations=0)
 
 
 class TestRunCycleTtlRecursive:
@@ -291,64 +271,43 @@ class TestRunCycleTtlRecursive:
     cycle 0's checkpoint 2 s before it checks the countdown, and the
     read a window past it classifies the cycle."""
 
-    def test_mid_window_refresh_yields_the_delay(self, scripted):
-        prober, clock, _ = scripted([300, 2, 120])
-        machine = TtlRecursiveMachine(prober, "sim", "a.test", max_ttl=300,
-                                      window=300.0)
-        assert machine.step(clock.now()) == (298.0, [])
-        clock.sleep_until(298.0)
-        assert machine.step(clock.now()) == (600.0, [])
-        clock.sleep_until(600.0)
-        _, [observation] = machine.step(clock.now())
+    def test_mid_window_refresh_yields_the_delay(self):
+        machine = TtlRecursiveMachine("sim", "a.test", max_ttl=300, window=300.0)
+        first, second, (_, [observation]) = at_wakes(machine, [300, 2, 120])
+        assert (first, second) == ((298.0, []), (600.0, []))
         assert observation.censored is False
         assert observation.delay == pytest.approx(120.0)
         assert observation.window_length == pytest.approx(300.0)
         assert observation.window_start + observation.delay == pytest.approx(420.0)
 
-    def test_untouched_window_is_censored(self, scripted):
-        prober, clock, _ = scripted([300, 2, 299])
-        machine = TtlRecursiveMachine(prober, "sim", "a.test", max_ttl=300,
-                                      window=300.0)
-        clock.sleep_until(machine.step(clock.now())[0])
-        clock.sleep_until(machine.step(clock.now())[0])
-        _, [observation] = machine.step(clock.now())
+    def test_untouched_window_is_censored(self):
+        machine = TtlRecursiveMachine("sim", "a.test", max_ttl=300, window=300.0)
+        _, [observation] = at_wakes(machine, [300, 2, 299])[-1]
         assert observation.censored is True
         assert observation.delay is None
 
-    def test_read_above_max_raises(self, scripted):
-        prober, clock, _ = scripted([300, 2, 320])
-        machine = TtlRecursiveMachine(prober, "sim", "a.test", max_ttl=300,
-                                      window=300.0)
-        clock.sleep_until(machine.step(clock.now())[0])
-        clock.sleep_until(machine.step(clock.now())[0])
-        _, [error] = machine.step(clock.now())
+    def test_read_above_max_raises(self):
+        machine = TtlRecursiveMachine("sim", "a.test", max_ttl=300, window=300.0)
+        _, [error] = at_wakes(machine, [300, 2, 320])[-1]
         assert error.kind == "ttl_exceeds_max"
 
-    def test_impossible_read_raises(self, scripted):
-        prober, clock, _ = scripted([300, 2, 200])
-        machine = TtlRecursiveMachine(prober, "sim", "a.test", max_ttl=300,
-                                      window=30.0)
-        clock.sleep_until(machine.step(clock.now())[0])
-        clock.sleep_until(machine.step(clock.now())[0])
-        _, [error] = machine.step(clock.now())
+    def test_impossible_read_raises(self):
+        machine = TtlRecursiveMachine("sim", "a.test", max_ttl=300, window=30.0)
+        _, [error] = at_wakes(machine, [300, 2, 200])[-1]
         assert error.kind == "inconsistent_ttl"
 
-    def test_window_validation(self, scripted):
-        prober, clock, _ = scripted([])
+    def test_window_validation(self):
         with pytest.raises(ValueError):
-            TtlRecursiveMachine(prober, "sim", "a.test", max_ttl=300, window=0.0)
+            TtlRecursiveMachine("sim", "a.test", max_ttl=300, window=0.0)
         with pytest.raises(ValueError):
-            TtlRecursiveMachine(prober, "sim", "a.test", max_ttl=300, window=301.0)
+            TtlRecursiveMachine("sim", "a.test", max_ttl=300, window=301.0)
 
 
 class TestTtlRecursiveMachine:
-    def test_a_checkpoint_sent_after_expiry_starts_the_cycle_over(self, scripted):
-        prober, clock, _ = scripted([300, 300], rtt_ms=0.0)
-        machine = TtlRecursiveMachine(prober, "sim", "a.test", max_ttl=300,
-                                      window=300.0)
-        assert machine.step(clock.now()) == (298.0, [])
-        clock.sleep_until(305.0)
-        wake, items = machine.step(clock.now())
+    def test_a_checkpoint_sent_after_expiry_starts_the_cycle_over(self):
+        machine = TtlRecursiveMachine("sim", "a.test", max_ttl=300, window=300.0)
+        assert machine.step(0.0, reply(300, at=0.0)) == (298.0, [])
+        wake, items = machine.step(305.0, reply(300, at=305.0))
         # no window can be watched from a record re-fetched after expiry:
         # the read is noted and arms the next checkpoint
         assert [(i.kind, i.message) for i in items] == [
@@ -356,15 +315,12 @@ class TestTtlRecursiveMachine:
         assert wake == 603.0
         assert not machine.done
 
-    def test_a_second_late_checkpoint_in_a_row_arms_a_window_without_one(self, scripted):
-        prober, clock, _ = scripted([300, 300, 300, 299], rtt_ms=0.0)
-        machine = TtlRecursiveMachine(prober, "sim", "a.test", max_ttl=300,
-                                      window=300.0)
-        assert machine.step(clock.now()) == (298.0, [])
+    def test_a_second_late_checkpoint_in_a_row_arms_a_window_without_one(self):
+        machine = TtlRecursiveMachine("sim", "a.test", max_ttl=300, window=300.0)
+        assert machine.step(0.0, reply(300, at=0.0)) == (298.0, [])
         steps = []
-        for at in (305.0, 610.0, 1210.0):
-            clock.sleep_until(at)
-            wake, items = machine.step(clock.now())
+        for at, item in ((305.0, 300), (610.0, 300), (1210.0, 299)):
+            wake, items = machine.step(at, reply(item, at=at))
             steps.append((wake, [getattr(i, "kind", "observation") for i in items]))
         # the second late read expires at 910: its window read follows
         # at 910 + 300 with no checkpoint in between
@@ -372,17 +328,15 @@ class TestTtlRecursiveMachine:
                          (1809.0, ["observation"])]
         assert machine.cycles_completed == 1
 
-    def test_a_truncated_reply_is_annotated_and_backs_off(self, scripted):
-        prober, clock, _ = scripted([300, "truncated", 300], rtt_ms=0.0)
-        machine = TtlRecursiveMachine(prober, "sim", "a.test", max_ttl=300,
-                                      window=300.0)
-        clock.sleep_until(machine.step(clock.now())[0])
-        assert machine.step(clock.now()) == (298.0 + engine.NOANSWER_BACKOFF, [CycleError(
-            "sim", "a.test", "ttl_recursive", 298.0, "truncated",
-            "truncated response; cycle discarded")])
-        clock.sleep_until(328.0)
-        # the next read starts over, with cycle 0's checkpoint
-        assert machine.step(clock.now()) == (626.0, [])
+    def test_a_truncated_reply_is_annotated_and_backs_off(self):
+        machine = TtlRecursiveMachine("sim", "a.test", max_ttl=300, window=300.0)
+        assert at_wakes(machine, [300, "truncated", 300]) == [
+            (298.0, []),
+            (298.0 + engine.NOANSWER_BACKOFF, [CycleError(
+                "sim", "a.test", "ttl_recursive", 298.0, "truncated",
+                "truncated response; cycle discarded")]),
+            # the next read starts over, with cycle 0's checkpoint
+            (626.0, [])]
 
     def test_three_unusable_answers_in_a_row_end_the_domain(self, scripted):
         prober, clock, exchange = scripted([None, None, None])
@@ -392,6 +346,21 @@ class TestTtlRecursiveMachine:
         assert [b - a for a, b in zip(exchange.sent_at, exchange.sent_at[1:])] == [
             pytest.approx(engine.NOANSWER_BACKOFF)] * 2
         assert result.observations == [] and not exchange.script
+
+    def test_usable_first_reads_do_not_rescue_a_name_that_reads_no_window(self):
+        # each first read resolves and each checkpoint after it is empty:
+        # only a window read resets the run of unusable answers
+        machine = TtlRecursiveMachine("sim", "a.test", max_ttl=300, window=300.0)
+        steps = at_wakes(machine, [300, None] * 3)
+        assert [wake for wake, _ in steps] == [298.0, 328.0, 626.0, 656.0, 954.0, None]
+        assert [e.kind for _, items in steps for e in items] == ["unresolvable"] * 3
+        assert machine.done and machine.cycles_completed == 0
+
+    def test_a_scan_over_empty_checkpoints_ends_with_a_cycle_budget(self, scripted):
+        prober, clock, exchange = scripted([300, None] * 100)
+        result = scan_a(prober, clock, "ttl_recursive", 300, max_cycles=1)
+        assert len(exchange.sent_at) == 6
+        assert [e.kind for e in result.errors] == ["unresolvable"] * 3
 
 
 class TestSnoopDomainTtlRecursive:
@@ -476,100 +445,65 @@ class TestSnoopDomainTtlRecursive:
 
 
 class TestRd0Machine:
-    def test_refresh_between_probes_becomes_one_event(self, scripted):
+    def test_refresh_between_probes_becomes_one_event(self):
         # max 300: read 250 at t=0 places a refresh at -50 (baseline);
         # read 100 at t=150 places it at -50 again (same refresh, censored);
         # read 260 at t=300 places a fresh one at 260
-        prober, clock, _ = scripted([250, 100, 260])
-        machine = Rd0Machine(prober, "sim", "a.test", max_ttl=300,
-                             probe_interval=150.0)
-        assert machine.step(clock.now()) == (150.0, [])
-        clock.sleep_until(150.0)
-        _, [second] = machine.step(clock.now())
+        machine = Rd0Machine("sim", "a.test", max_ttl=300, probe_interval=150.0)
+        first, (_, [second]), (_, [third]) = at_wakes(machine, [250, 100, 260])
+        assert first == (150.0, [])
         assert second.censored is True
         assert second.window_length == pytest.approx(150.0)
-        clock.sleep_until(300.0)
-        _, [third] = machine.step(clock.now())
         assert third.censored is False
         assert third.window_start + third.delay == pytest.approx(260.0)
         assert third.delay == pytest.approx(110.0)
 
-    def test_close_refresh_readings_deduplicate_to_one_event(self, scripted):
+    def test_close_refresh_readings_deduplicate_to_one_event(self):
         # refresh at 1s seen by probes at 10 and 20: one event total
-        prober, clock, _ = scripted([100, 291, 281])
-        machine = Rd0Machine(prober, "sim", "a.test", max_ttl=300,
-                             probe_interval=10.0)
-        events = 0
-        for at in (0.0, 10.0, 20.0):
-            clock.sleep_until(at)
-            _, items = machine.step(clock.now())
-            assert all(isinstance(i, RefreshObservation) for i in items)
-            events += sum(1 for o in items if not o.censored)
-        assert events == 1
+        machine = Rd0Machine("sim", "a.test", max_ttl=300, probe_interval=10.0)
+        items = [i for _, step_items in at_wakes(machine, [100, 291, 281])
+                 for i in step_items]
+        assert all(isinstance(i, RefreshObservation) for i in items)
+        assert sum(1 for o in items if not o.censored) == 1
 
-    def test_empty_answers_are_censored_spans(self, scripted):
-        prober, clock, _ = scripted([None, None, None])
-        machine = Rd0Machine(prober, "sim", "a.test", max_ttl=300,
-                             probe_interval=150.0)
-        assert machine.step(clock.now()) == (150.0, [])
-        clock.sleep_until(150.0)
-        _, [observation] = machine.step(clock.now())
+    def test_empty_answers_are_censored_spans(self):
+        machine = Rd0Machine("sim", "a.test", max_ttl=300, probe_interval=150.0)
+        first, (_, [observation]) = at_wakes(machine, [None, None])
+        assert first == (150.0, [])
         assert observation.censored is True
         assert observation.window_length == pytest.approx(150.0)
 
-    def test_three_consecutive_full_ttl_answers_flag_rd_ignored(self, scripted):
-        prober, clock, _ = scripted([300, 300, 300])
-        machine = Rd0Machine(prober, "sim", "a.test", max_ttl=300,
-                             probe_interval=150.0)
-        machine.step(clock.now())
-        clock.sleep_until(150.0)
-        _, [second] = machine.step(clock.now())
+    def test_three_consecutive_full_ttl_answers_flag_rd_ignored(self):
+        machine = Rd0Machine("sim", "a.test", max_ttl=300, probe_interval=150.0)
+        _, (_, [second]), (_, [error]) = at_wakes(machine, [300, 300, 300])
         # below the detection threshold a full-TTL reading is still a
         # dateable refresh, so it must count as an event, not vanish
         assert second.delay is not None
-        clock.sleep_until(300.0)
-        _, [error] = machine.step(clock.now())
         assert error.kind == "rd_not_honored"
         assert machine.done
 
-    def test_empty_answers_break_a_full_ttl_run(self, scripted):
-        script = [300, None, 300, None, 300, None]
-        prober, clock, _ = scripted(script)
-        machine = Rd0Machine(prober, "sim", "a.test", max_ttl=300,
-                             probe_interval=150.0)
-        for i in range(len(script)):
-            clock.sleep_until(150.0 * i)
-            _, items = machine.step(clock.now())
-            assert not any(isinstance(i, CycleError) for i in items)
+    def test_empty_answers_break_a_full_ttl_run(self):
+        machine = Rd0Machine("sim", "a.test", max_ttl=300, probe_interval=150.0)
+        steps = at_wakes(machine, [300, None, 300, None, 300, None])
+        assert not any(isinstance(i, CycleError) for _, items in steps for i in items)
         assert not machine.done
 
-    def test_dated_client_refreshes_break_a_full_ttl_run(self, scripted):
+    def test_dated_client_refreshes_break_a_full_ttl_run(self):
         # refreshes at 0, 305, 640, 940: each postdates the previous
         # expiry, two land at probe instants (full reads), two carry
         # dates. dated reads reset the signature run, dups are neutral
-        script = [300, 140, 285, 125, 300, 140, 280]
-        prober, clock, _ = scripted(script)
-        machine = Rd0Machine(prober, "sim", "a.test", max_ttl=300,
-                             probe_interval=160.0)
-        for i in range(len(script)):
-            clock.sleep_until(160.0 * i)
-            _, items = machine.step(clock.now())
-            assert not any(isinstance(i, CycleError) for i in items)
+        machine = Rd0Machine("sim", "a.test", max_ttl=300, probe_interval=160.0)
+        steps = at_wakes(machine, [300, 140, 285, 125, 300, 140, 280])
+        assert not any(isinstance(i, CycleError) for _, items in steps for i in items)
         assert not machine.done
 
-    def test_refreshes_dated_before_expiry_flag_a_prefetcher(self, scripted):
+    def test_refreshes_dated_before_expiry_flag_a_prefetcher(self):
         # max 60, probes every 30s: each fresh reading dates a refresh
         # 3s before the previous one could have expired
-        script = [60, 30, 57, 27, 54, 24, 51]
-        prober, clock, _ = scripted(script)
-        machine = Rd0Machine(prober, "sim", "a.test", max_ttl=60,
-                             probe_interval=30.0)
-        kinds = []
-        for i in range(len(script)):
-            clock.sleep_until(30.0 * i)
-            _, items = machine.step(clock.now())
-            kinds += [i.kind for i in items if isinstance(i, CycleError)]
-        assert kinds == ["server_prefetches"]
+        machine = Rd0Machine("sim", "a.test", max_ttl=60, probe_interval=30.0)
+        steps = at_wakes(machine, [60, 30, 57, 27, 54, 24, 51])
+        assert [i.kind for _, items in steps for i in items
+                if isinstance(i, CycleError)] == ["server_prefetches"]
         assert machine.done
 
     def test_prefetching_sim_is_detected_once_the_cache_is_primed(self):
@@ -610,25 +544,21 @@ class TestRd0Machine:
         events = [o for o in result.observations if o.delay is not None]
         assert len(events) > 50  # the traffic itself was seen
 
-    def test_probe_interval_validation(self, scripted):
-        prober, _, _ = scripted([])
+    def test_probe_interval_validation(self):
         with pytest.raises(ValueError):
-            Rd0Machine(prober, "sim", "a.test", max_ttl=300, probe_interval=301.0)
+            Rd0Machine("sim", "a.test", max_ttl=300, probe_interval=301.0)
         with pytest.raises(ValueError):
-            Rd0Machine(prober, "sim", "a.test", max_ttl=300, probe_interval=0.0)
+            Rd0Machine("sim", "a.test", max_ttl=300, probe_interval=0.0)
 
-    def test_default_interval_is_half_the_max_ttl(self, scripted):
-        prober, _, _ = scripted([])
-        machine = Rd0Machine(prober, "sim", "a.test", max_ttl=300)
+    def test_default_interval_is_half_the_max_ttl(self):
+        machine = Rd0Machine("sim", "a.test", max_ttl=300)
         assert machine.interval == pytest.approx(150.0)
 
-    def test_stale_max_is_adopted_not_misread_as_rd_ignored(self, scripted):
+    def test_stale_max_is_adopted_not_misread_as_rd_ignored(self):
         # believed max 60 but the server hands out 300s ttls; the
         # exceeding read becomes the new lower bound for the maximum
-        prober, clock, _ = scripted([250, 240, 230])
-        machine = Rd0Machine(prober, "sim", "a.test", max_ttl=60,
-                             probe_interval=30.0)
-        _, [error] = machine.step(clock.now())
+        machine = Rd0Machine("sim", "a.test", max_ttl=60, probe_interval=30.0)
+        _, [error] = machine.step(0.0, reply(250, at=0.0))
         assert error.kind == "ttl_exceeds_max"
         assert machine.max_ttl == 250
         assert not machine.done
@@ -638,58 +568,40 @@ class TestMaxTtlAdoption:
     """Every read that can exceed the believed maximum annotates it,
     adopts the grid-snapped reading and keeps probing from that read."""
 
-    @pytest.mark.parametrize("site,script,wake", [
+    @pytest.mark.parametrize("site,script,wakes", [
         # the first read fixes expiry 119; cycle 0's checkpoint is 2 s before it
-        ("ttl_recursive_init", [119], 119.0 - 2.0),
+        ("ttl_recursive_init", [119], [119.0 - 2.0]),
         # the init read arms a checkpoint at 58 and a window probe at 120;
         # its read of 119 re-arms cycle 0's checkpoint
-        ("ttl_recursive_window", [60, 2, 119], 120.0 + 119.0 - 2.0),
-        ("rd0", [119], 30.0),
+        ("ttl_recursive_window", [60, 2, 119], [58.0, 120.0, 120.0 + 119.0 - 2.0]),
+        ("rd0", [119], [30.0]),
     ])
-    def test_the_snapped_reading_becomes_the_max(self, scripted, site, script, wake):
-        prober, clock, _ = scripted(script, rtt_ms=0.0)
+    def test_the_snapped_reading_becomes_the_max(self, site, script, wakes):
         if site == "rd0":
-            machine = Rd0Machine(prober, "sim", "a.test", max_ttl=60, probe_interval=30.0)
+            machine = Rd0Machine("sim", "a.test", max_ttl=60, probe_interval=30.0)
         else:
-            machine = TtlRecursiveMachine(prober, "sim", "a.test", max_ttl=60,
-                                          window=60.0)
-        if site == "ttl_recursive_window":
-            for before in (58.0, 120.0):
-                assert machine.step(clock.now()) == (before, [])
-                clock.sleep_until(before)
-        next_wake, items = machine.step(clock.now())
-        assert [(i.kind, i.message) for i in items] == [
+            machine = TtlRecursiveMachine("sim", "a.test", max_ttl=60, window=60.0)
+        steps = at_wakes(machine, script)
+        assert [wake for wake, _ in steps] == pytest.approx(wakes)
+        assert all(items == [] for _, items in steps[:-1])
+        assert [(i.kind, i.message) for i in steps[-1][1]] == [
             ("ttl_exceeds_max", "read 119 above believed max 60")]
         assert machine.max_ttl == 120
-        assert next_wake == pytest.approx(wake)
         assert not machine.done
 
 
-class TestRdBehavior:
-    def test_honoring_server(self):
-        prober, _, _ = sim_prober(quiet_zone())
-        behavior = check_rd_behavior(prober, "sim",
-                                     ["rdcheck-1.a.test", "rdcheck-2.a.test"])
-        assert behavior.honors_rd0 is True
-        assert len(behavior.evidence) == 2
-        assert all(e["answer_count"] == 0 for e in behavior.evidence)
+class TestTimeoutStamps:
+    """rd0 and timing stamp a timeout at the wake, ttl_recursive once
+    the retries gave up."""
 
-    def test_ignoring_server(self):
-        prober, _, _ = sim_prober(quiet_zone(rd_policy="ignore"))
-        behavior = check_rd_behavior(prober, "sim", ["rdcheck-1.a.test"])
-        assert behavior.honors_rd0 is False
-        assert behavior.evidence[0]["answer_count"] == 1
-
-    def test_timeout_carries_partial_evidence(self, scripted):
-        prober, _, _ = scripted([None, "timeout"])
-        with pytest.raises(ProbeTimeout) as info:
-            check_rd_behavior(prober, "sim", ["one.a.test", "two.a.test"])
-        assert len(info.value.evidence) == 1
-
-    def test_requires_canaries(self, scripted):
-        prober, _, _ = scripted([])
-        with pytest.raises(ValueError):
-            check_rd_behavior(prober, "sim", [])
+    @pytest.mark.parametrize("method,stamp", [
+        ("rd0", 10.0), ("timing", 10.0), ("ttl_recursive", 18.0)])
+    def test_the_stamp(self, method, stamp):
+        machine = build_machine(method, "sim", "a.test", max_ttl=60, window=60.0,
+                                calibration=make_calibration())
+        _, [error] = machine.step(10.0, reply("timeout", at=18.0))
+        assert (error.kind, error.at) == ("timeout", stamp)
+        assert not machine.done
 
 
 def make_calibration(cached=5.0, miss=55.0):
@@ -766,6 +678,27 @@ class TestTimingMachine:
                               max_cycles=6).observations
         events = [o for o in observations if not o.censored]
         assert len(events) >= 5  # a 20s-periodic client always refreshes in time
+
+    def test_abstains_in_a_row_end_the_domain(self):
+        machine = TimingMachine("sim", "a.test", max_ttl=60, window=60.0,
+                                calibration=make_calibration())
+        steps = at_wakes(machine, [(60, 50.0)] + [(59, 30.0)] * 3)
+        assert [wake for wake, _ in steps] == [120.0, 240.0, 360.0, None]
+        assert [[e.kind for e in items] for _, items in steps] == [
+            [], ["abstain"], ["abstain"], ["abstain"]]
+        assert machine.done and machine.cycles_completed == 0
+
+    def test_a_classified_read_breaks_an_abstain_run(self):
+        machine = TimingMachine("sim", "a.test", max_ttl=60, window=60.0,
+                                calibration=make_calibration())
+        at_wakes(machine, [(60, 50.0)] + [(59, 30.0), (59, 30.0), (59, 4.0)] * 2)
+        assert not machine.done and machine.cycles_completed == 2
+
+    def test_a_scan_where_every_rtt_abstains_ends_with_a_cycle_budget(self, scripted):
+        prober, clock, exchange = scripted([(60, 50.0)] + [(59, 30.0)] * 300)
+        result = scan_a(prober, clock, "timing", 60, make_calibration(), max_cycles=1)
+        assert len(exchange.sent_at) == 4
+        assert [e.kind for e in result.errors] == ["abstain"] * 3
 
     def test_requires_calibration(self, scripted):
         prober, clock, _ = scripted([])

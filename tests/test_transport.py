@@ -86,9 +86,10 @@ class TestProber:
 
     def test_retry_budget_exhausted_raises(self):
         prober, transport = make_prober(["timeout"] * 4, retries=3)
-        with pytest.raises(ProbeTimeout):
+        with pytest.raises(ProbeTimeout) as info:
             prober.probe("sim", "a.bc")
         assert len(transport.payloads) == 4
+        assert info.value.at == pytest.approx(2.0)  # stamped once the retries gave up
 
     def test_mismatched_id_consumes_a_retry(self):
         prober, transport = make_prober([answer(wrong_id=True), answer(ttl=9)])
