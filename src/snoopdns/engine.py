@@ -21,24 +21,24 @@ Maximum-TTL discovery and the probing machines decide and never send:
 a machine holds no prober and no clock. Its recursion_desired names the
 probe it wants at its wake, and step(now, reply) takes that probe's
 ProbeReply, or the ProbeTimeout the prober raised, and returns the next
-wake. The one scheduler that sends is _run_machines, at the end of this
-module: it sleeps to the earliest wake, probes and steps, so one thread
-interleaves many domains on either a virtual or the real clock. scan
-runs every scan and discovery on it, and discover_max_ttl drives a
-single machine on it. Every machine reports a fault as a CycleError item
-of the step that met it, and each completed cycle as a
-RefreshObservation: the watched window and the first refresh's delay
-into it, None when the window is censored.
+wake, None at its end. The one scheduler that sends is _run_machines,
+at the end of this module: it sleeps to the earliest wake, probes and
+steps, so one thread interleaves many domains on either a virtual or the
+real clock. scan runs every scan and discovery on it, and
+discover_max_ttl drives a single machine on it. A step's items carry
+every result: a fault as a CycleError, a completed cycle as a
+RefreshObservation (the watched window and the first refresh's delay
+into it, None when censored), discovery's MaxTtlEstimate.
 
 Each check of that invariant has one home: classify_window_read,
-_checkpoint_fits, _check_countdown, _window, and the _adopt_max and
-_observe methods that every probing machine inherits.
+_checkpoint_fits, _check_countdown, _window, and the _adopt_max, _observe
+and _next (the stall rule) methods that every probing machine inherits.
 
 The operational constants are module constants, not parameters, each
 defined with its reason: POST_EXPIRY_EPSILON, SNAP_GRID,
 SNAP_TOLERANCE, DEDUP_EPSILON, CHECKPOINT_MARGIN, CHECKPOINT_EVERY,
-DISCOVERY_ROUND_FACTOR, TIMEOUT_BACKOFF, NOANSWER_BACKOFF,
-FAILURE_LIMIT, CALIBRATION_SAMPLES, QUALITY_FLOOR and GUARD_FRACTION.
+DISCOVERY_ROUND_FACTOR, TIMEOUT_BACKOFF, NOANSWER_BACKOFF, FAILURE_LIMIT,
+STALL_LIMIT, CALIBRATION_SAMPLES, QUALITY_FLOOR and GUARD_FRACTION.
 """
 
 import heapq
@@ -96,6 +96,10 @@ NOANSWER_BACKOFF = 30.0
 # too), stuck TTLs, timing's abstains, and rd0's full-TTL answers or early
 # refreshes
 FAILURE_LIMIT = 3
+# probes since a machine's last completed cycle that end its domain as
+# stalled, so no failure run a reply breaks can probe forever; honest scans
+# go at most a few probes between cycles
+STALL_LIMIT = 20
 CALIBRATION_SAMPLES = 40  # timing calibration samples per class, cached and miss
 QUALITY_FLOOR = 0.95  # share of them the threshold must put on the right side
 GUARD_FRACTION = 0.25  # classify_timing's abstain band, a share of the median gap
@@ -269,11 +273,11 @@ class DiscoveryMachine:
     (see _check_countdown). A read with no usable answer backs off
     NOANSWER_BACKOFF and starts over from a first read, keeping the
     counts; the FAILURE_LIMIT-th with no counted round between them
-    fails the domain, while a timeout fails it at once. When done, `estimate` holds the result, or
-    the final step returned the failure as its one CycleError item,
-    method "discovery": unresolvable, timeout, server_prefetches,
-    non_monotonic_ttl or discovery_budget_exceeded. A timeout is stamped
-    when the retries gave up.
+    fails the domain, while a timeout fails it at once. Only the final
+    step, with its None wake, returns an item: the MaxTtlEstimate, or a
+    CycleError of method "discovery" and kind unresolvable, timeout,
+    server_prefetches, non_monotonic_ttl or discovery_budget_exceeded.
+    A timeout is stamped when the retries gave up.
     """
 
     recursion_desired = True
@@ -284,8 +288,6 @@ class DiscoveryMachine:
         self.server = server
         self.domain = domain
         self.required = required_confirmations
-        self.done = False
-        self.estimate: MaxTtlEstimate | None = None
         self._mode = "first"
         self._last_ttl = 0
         self._last_at = 0.0
@@ -294,12 +296,9 @@ class DiscoveryMachine:
         self._failures = 0
 
     def _fail(self, at: float, kind: str, message: str) -> tuple[None, list]:
-        self.done = True
         return None, [CycleError(self.server, self.domain, "discovery", at, kind, message)]
 
     def step(self, now: float, reply: ProbeReply | ProbeTimeout) -> tuple[float | None, list]:
-        if self.done:
-            return None, []
         if isinstance(reply, ProbeTimeout):
             return self._fail(reply.at, "timeout", str(reply))
         at = reply.sent_at
@@ -307,8 +306,8 @@ class DiscoveryMachine:
         if ttl is None:
             self._failures += 1
             if self._failures >= FAILURE_LIMIT:
-                return self._fail(at, "unresolvable", f"{self.domain} returned no usable "
-                                  f"answer (rcode {reply.response.rcode})")
+                return self._fail(at, "unresolvable",
+                                  f"no usable answer (rcode {reply.response.rcode})")
             # as a scan does: back off, then start over from a first read
             self._mode = "first"
             return at + NOANSWER_BACKOFF, []
@@ -320,7 +319,7 @@ class DiscoveryMachine:
                 return at + ttl + POST_EXPIRY_EPSILON, []
             kind, message = verdict
             if kind != "checkpoint_late":
-                return self._fail(at, kind, f"{self.domain}: {message}")
+                return self._fail(at, kind, message)
             # a busy scheduler sent the checkpoint once the record had
             # expired: it re-fetched the record, so it is the roll-over read
             self._mode = "rollover"
@@ -333,17 +332,15 @@ class DiscoveryMachine:
             self._counts[value] = self._counts.get(value, 0) + 1
             self._snapped[value] = self._snapped.get(value, False) or snapped
             if self._counts[value] >= self.required:
-                self.estimate = MaxTtlEstimate(
+                return None, [MaxTtlEstimate(
                     server=self.server, domain=self.domain, max_ttl=value,
                     confirmations=self._counts[value], snapped_to_grid=self._snapped[value],
-                    candidates_seen=dict(self._counts))
-                self.done = True
-                return None, []
+                    candidates_seen=dict(self._counts))]
 
         max_rounds = self.required * DISCOVERY_ROUND_FACTOR
         if sum(self._counts.values()) >= max_rounds:
             return self._fail(at, "discovery_budget_exceeded",
-                              f"{self.domain}: no TTL confirmed {self.required} times "
+                              f"no TTL confirmed {self.required} times "
                               f"within {max_rounds} rounds; candidates seen: {self._counts}")
         # next round: a checkpoint shortly before expiry unless the TTL is
         # too short for one, then the roll-over read just past it
@@ -359,16 +356,17 @@ def discover_max_ttl(prober: Prober, clock: Clock, server: str, domain: str,
                      required_confirmations: int = 5) -> MaxTtlEstimate:
     """Find one domain's maximum TTL on a server, sleeping between probes.
 
-    Drives a single DiscoveryMachine to its end, and raises its failure
-    as SnoopError("kind: message"). scan.discover_all runs many domains
-    at once.
+    Drives a single DiscoveryMachine to its end and returns its final
+    item, the MaxTtlEstimate, or raises its failure as SnoopError("kind:
+    message"). scan.discover_all runs many domains at once.
     """
     machine = DiscoveryMachine(server, domain, required_confirmations=required_confirmations)
-    failed: list[CycleError] = []
-    _run_machines(prober, [machine], clock.now(), failed.extend)
-    if failed:
-        raise SnoopError(f"{failed[0].kind}: {failed[0].message}")
-    return machine.estimate
+    items: list = []
+    _run_machines(prober, [machine], clock.now(), items.extend)
+    [result] = items
+    if type(result) is CycleError:
+        raise SnoopError(f"{result.kind}: {result.message}")
+    return result
 
 
 def calibrate_timing(prober: Prober, server: str,
@@ -431,12 +429,14 @@ def _window(window: float, max_ttl: int) -> float:
 
 class _ProbingMachine:
     """What the three probing machines share: the domain they probe, the
-    completed-cycle count that max_cycles budgets read, and the run of
-    timeouts that ends the domain at FAILURE_LIMIT in a row. _adopt_max
-    is the one place a stale maximum (and its ttl_grace, _grace) is
-    replaced, _observe the one place a completed cycle is recorded, and
-    _answered the one place a timeout is counted. step(now, reply)
-    returns (next wake, items), the wake None exactly when it is done."""
+    completed-cycle count that max_cycles budgets read, and the runs of
+    timeouts and of probes since the last cycle. _adopt_max is the one
+    place a stale maximum (and its ttl_grace, _grace) is replaced,
+    _observe the one place a completed cycle is recorded, _answered the
+    one place a probe and a timeout are counted, and _next the one place
+    those runs end the domain. step(now, reply) returns (next wake,
+    items); a None wake ends the domain, from _next or the machine's own
+    end rules."""
 
     method: str
     recursion_desired = True
@@ -447,8 +447,8 @@ class _ProbingMachine:
         self.max_ttl = max_ttl
         self._grace = ttl_grace(max_ttl)
         self.cycles_completed = 0
-        self.done = False
         self._timeouts = 0
+        self._unobserved = 0
 
     def _error(self, at: float, kind: str, message: str) -> CycleError:
         return CycleError(self.server, self.domain, self.method, at, kind, message)
@@ -460,6 +460,7 @@ class _ProbingMachine:
         items.append(RefreshObservation(self.server, self.domain, self.method, start,
                                         length, rtt_ms, delay))
         self.cycles_completed += 1
+        self._unobserved = 0
 
     def _adopt_max(self, items: list, at: float, ttl: int) -> bool:
         """Annotate a read above the believed maximum by more than its grace
@@ -475,19 +476,29 @@ class _ProbingMachine:
 
     def _answered(self, items: list, reply: ProbeReply | ProbeTimeout,
                   stamp: float | None = None) -> ProbeReply | None:
-        """The reply, or None after annotating a timeout.
+        """Count the probe; return its reply, or None after annotating a timeout.
 
         The timeout is stamped at `stamp`, or once the retries gave up
         when it is None.
         """
+        self._unobserved += 1
         if not isinstance(reply, ProbeTimeout):
             self._timeouts = 0
             return reply
         self._timeouts += 1
         items.append(self._error(reply.at if stamp is None else stamp, "timeout", str(reply)))
-        if self._timeouts >= FAILURE_LIMIT:
-            self.done = True
         return None
+
+    def _next(self, items: list, now: float, wake: float | None) -> tuple[float | None, list]:
+        """The step's (wake, items), None after FAILURE_LIMIT timeouts in a
+        row or, as stalled, STALL_LIMIT probes since the last cycle."""
+        if wake is None or self._timeouts >= FAILURE_LIMIT:
+            return None, items
+        if self._unobserved < STALL_LIMIT:
+            return wake, items
+        items.append(self._error(now, "stalled",
+                                 f"no completed cycle in {STALL_LIMIT} probes"))
+        return None, items
 
 
 class TtlRecursiveMachine(_ProbingMachine):
@@ -530,15 +541,13 @@ class TtlRecursiveMachine(_ProbingMachine):
         return self._expiry + self.window
 
     def _backoff(self, now: float) -> float | None:
-        """The wake after a failed read, or None once failures ended the domain."""
-        if self.done:
+        """The wake after a failed read, or None at a failure run's end."""
+        if max(self._failures, self._static_runs) >= FAILURE_LIMIT:
             return None
         return now + (TIMEOUT_BACKOFF if self._timeouts else NOANSWER_BACKOFF)
 
     def step(self, now: float, reply: ProbeReply | ProbeTimeout) -> tuple[float | None, list]:
         items: list = []
-        if self.done:
-            return None, items
         reply = self._answered(items, reply)
         ttl = None
         if reply is not None and reply.response.truncated:
@@ -550,16 +559,14 @@ class TtlRecursiveMachine(_ProbingMachine):
                 self._failures += 1
                 items.append(self._error(reply.sent_at, "unresolvable",
                                          f"no usable answer (rcode {reply.response.rcode})"))
-                if self._failures >= FAILURE_LIMIT:
-                    self.done = True
         if ttl is None:
             # no usable read: the next one starts over
             self._mode = "init"
-            return self._backoff(now), items
+            return self._next(items, now, self._backoff(now))
 
         if self._mode == "init":
             self._adopt_max(items, reply.sent_at, ttl)
-            return self._arm(reply.sent_at, ttl), items
+            return self._next(items, now, self._arm(reply.sent_at, ttl))
 
         if self._mode == "checkpoint":
             verdict = _check_countdown(self._last_read, self._expiry - self._last_read,
@@ -568,22 +575,19 @@ class TtlRecursiveMachine(_ProbingMachine):
                 self._static_runs = 0
                 self._late_checkpoints = 0
                 self._mode = "window"
-                return self._expiry + self.window, items
+                return self._next(items, now, self._expiry + self.window)
             kind, message = verdict
             items.append(self._error(reply.sent_at, kind, message))
             if kind == "checkpoint_late":
                 # the record may have been re-fetched since expiry, so
                 # no window can be watched: start over from this read
                 self._late_checkpoints += 1
-                return self._arm(reply.sent_at, ttl), items
+                return self._next(items, now, self._arm(reply.sent_at, ttl))
             if kind == "server_prefetches":
-                self.done = True
                 return None, items
             self._mode = "init"
             self._static_runs += 1
-            if self._static_runs >= FAILURE_LIMIT:
-                self.done = True
-            return self._backoff(now), items
+            return self._next(items, now, self._backoff(now))
 
         # window probe: classifies the cycle and doubles as the next pre-probe
         self._late_checkpoints = 0
@@ -601,7 +605,7 @@ class TtlRecursiveMachine(_ProbingMachine):
                 items.append(self._error(reply.sent_at, "inconsistent_ttl", str(exc)))
             else:
                 self._observe(items, self._expiry, window_eff, reply.rtt_ms, delay)
-        return self._arm(reply.sent_at, ttl), items
+        return self._next(items, now, self._arm(reply.sent_at, ttl))
 
 
 class Rd0Machine(_ProbingMachine):
@@ -650,11 +654,9 @@ class Rd0Machine(_ProbingMachine):
 
     def step(self, now: float, reply: ProbeReply | ProbeTimeout) -> tuple[float | None, list]:
         items: list = []
-        if self.done:
-            return None, items
         reply = self._answered(items, reply, stamp=now)
         if reply is None:
-            return (None if self.done else now + self.interval), items
+            return self._next(items, now, now + self.interval)
         sent = reply.sent_at
         ttl = wire.min_answer_ttl(reply.response, self.domain)
         span = None if self._last_probe is None else sent - self._last_probe
@@ -695,7 +697,6 @@ class Rd0Machine(_ProbingMachine):
                         sent, "rd_not_honored",
                         "repeated full-TTL answers: the server fetches on "
                         "our RD=0 probes"))
-                    self.done = True
                     return None, items
                 if self._early_refreshes >= FAILURE_LIMIT:
                     items.append(self._error(
@@ -703,7 +704,6 @@ class Rd0Machine(_ProbingMachine):
                         "refreshes keep landing before the previous expiry: "
                         "the server refills on its own, or the believed "
                         "max is stale-high"))
-                    self.done = True
                     return None, items
                 if span is not None:
                     delay = min(max(refresh_time - self._last_probe, 0.0), span)
@@ -713,7 +713,7 @@ class Rd0Machine(_ProbingMachine):
         if span is not None and span > 0:
             self._observe(items, self._last_probe, span, reply.rtt_ms, delay)
         self._last_probe = sent
-        return sent + self.interval, items
+        return self._next(items, now, sent + self.interval)
 
 
 class TimingMachine(_ProbingMachine):
@@ -740,18 +740,16 @@ class TimingMachine(_ProbingMachine):
 
     def step(self, now: float, reply: ProbeReply | ProbeTimeout) -> tuple[float | None, list]:
         items: list = []
-        if self.done:
-            return None, items
         reply = self._answered(items, reply, stamp=now)
         if reply is None:
             self._expiry_bound = None
-            return (None if self.done else now + TIMEOUT_BACKOFF), items
+            return self._next(items, now, now + TIMEOUT_BACKOFF)
         sent = reply.sent_at
 
         if self._expiry_bound is None:
             # Whatever was cached expires at most max_ttl from now.
             self._expiry_bound = sent + self.max_ttl
-            return self._expiry_bound + self.window, items
+            return self._next(items, now, self._expiry_bound + self.window)
 
         window_eff = sent - self._expiry_bound
         verdict = classify_timing(reply.rtt_ms, self.calibration)
@@ -760,14 +758,13 @@ class TimingMachine(_ProbingMachine):
                                      f"rtt {reply.rtt_ms:.2f}ms inside the guard band"))
             self._abstains += 1
             if self._abstains >= FAILURE_LIMIT:
-                self.done = True
                 return None, items
         else:
             self._abstains = 0
             self._observe(items, self._expiry_bound, window_eff, reply.rtt_ms,
                           None if verdict == "miss" else window_eff / 2.0)
         self._expiry_bound = sent + self.max_ttl
-        return self._expiry_bound + self.window, items
+        return self._next(items, now, self._expiry_bound + self.window)
 
 
 def build_machine(method: str, server: str, domain: str, *,
@@ -786,17 +783,18 @@ def build_machine(method: str, server: str, domain: str, *,
 
 
 def _run_machines(prober: Prober, machines: list, start: float,
-                  emit: Callable[[list], None] | None = None, *,
+                  emit: Callable[[list], None], *,
                   deadline: float | None = None,
                   max_cycles: int | None = None) -> None:
     """At each machine's wake, send its probe and step it with the reply
     or the ProbeTimeout, in wake-time order on the prober's clock, until
-    every machine is done or retired.
+    every machine has ended or is retired.
 
     Every machine first wakes at start; ties go to the machine queued
     first. emit receives every non-empty item list a step returns. A
-    machine whose next wake lands past the deadline, or that has
-    completed max_cycles cycles, is retired.
+    None wake ends a machine: it is never stepped again. One whose next
+    wake lands past the deadline, or that has completed max_cycles
+    cycles, is retired.
     """
     heap = [(start, seq, machine) for seq, machine in enumerate(machines)]
     seq = len(heap)
@@ -817,9 +815,8 @@ def _run_machines(prober: Prober, machines: list, start: float,
         except ProbeTimeout as exc:
             reply = exc
         next_wake, items = machine.step(now, reply)
-        if items and emit is not None:
+        if items:
             emit(items)
-        if next_wake is None:
-            continue
-        heappush(heap, (next_wake, seq, machine))
-        seq += 1
+        if next_wake is not None:
+            heappush(heap, (next_wake, seq, machine))
+            seq += 1

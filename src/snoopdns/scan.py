@@ -48,19 +48,19 @@ def discover_all(prober: Prober, clock: Clock, server: str, domains: list[str],
     whole list costs about (required_confirmations + 1) x its largest
     maximum TTL of clock time while the prober's rate limit keeps up;
     a longer list takes its probe count divided by the rate. Returns
-    (found, failed); a failed discovery maps its domain to "kind:
-    message" of the machine's CycleError and excludes it. A name that
-    does not resolve waits out its NOANSWER_BACKOFF on the same heap, so
-    it is dropped while the others' expiries run. Timeout retries can
-    hold the queue, but a checkpoint they push past its expiry serves as
-    that round's roll-over read, so no other domain fails for it.
+    (found, failed) from each machine's final item: its MaxTtlEstimate,
+    or its CycleError as "kind: message". A name that does not resolve
+    waits out its NOANSWER_BACKOFF on the same heap, so it is dropped
+    while the others' expiries run. Timeout retries can hold the queue,
+    but a checkpoint they push past its expiry serves as that round's
+    roll-over read, so no other domain fails for it.
     """
     machines = [DiscoveryMachine(server, domain, required_confirmations=required_confirmations)
                 for domain in domains]
-    errors: list[CycleError] = []
-    _run_machines(prober, machines, clock.now(), errors.extend)
-    found = {m.domain: m.estimate for m in machines if m.estimate is not None}
-    return found, {e.domain: f"{e.kind}: {e.message}" for e in errors}
+    items: list = []
+    _run_machines(prober, machines, clock.now(), items.extend)
+    found = {i.domain: i for i in items if type(i) is MaxTtlEstimate}
+    return found, {i.domain: f"{i.kind}: {i.message}" for i in items if type(i) is CycleError}
 
 
 def run_scan(prober: Prober, clock: Clock, server: str, domains: list[str], *,

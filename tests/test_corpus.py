@@ -234,7 +234,7 @@ class TestJsonlLog:
         errors = [CycleError("sim", "a.test", "rd0", 30.5, "rd_not_honored", "full TTLs"),
                   CycleError("sim", "b.test", "ttl_recursive", 61.0, "timeout", "no reply"),
                   CycleError("sim", "c.test", "discovery", 7.25, "server_prefetches",
-                             "c.test: TTL jumped to 60 with ~30s left before expiry")]
+                             "TTL jumped to 60 with ~30s left before expiry")]
         with open(path, "w", encoding="utf-8") as handle:
             writer = ObservationWriter(handle, "scan-e")
             writer.write(sample_observation())

@@ -1,11 +1,13 @@
 """Snooping engine: window math, discovery, the three probing machines."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from snoopdns import engine
 from snoopdns.clock import VirtualClock
 from snoopdns.engine import (CycleError, DiscoveryMachine, InconsistentTtl,
-                             InsufficientSeparation, Rd0Machine,
+                             InsufficientSeparation, MaxTtlEstimate, Rd0Machine,
                              RefreshObservation, SnoopError, TimingCalibration,
                              TimingMachine, TtlExceedsMax, TtlRecursiveMachine,
                              build_machine, calibrate_timing, classify_timing,
@@ -15,7 +17,7 @@ from snoopdns.scan import discover_all, run_scan
 from snoopdns.simnet import SimExchange, build_sim
 from snoopdns.transport import Prober
 
-from conftest import reply
+from conftest import TtlScriptExchange, reply
 
 
 def sim_prober(config, seed_salt=0):
@@ -38,9 +40,12 @@ def quiet_zone(ttl=300, **overrides):
 
 def at_wakes(machine, script, start=0.0):
     """Step a machine through script, each reply sent at the wake the
-    machine asked for; returns every step's (next wake, items)."""
+    machine asked for; returns every step's (next wake, items). As in
+    engine._run_machines, a machine that returned a None wake has ended:
+    stepping it again is an error."""
     steps, wake = [], start
     for item in script:
+        assert wake is not None, "the machine ended before the script did"
         wake, items = machine.step(wake, reply(item, at=wake))
         steps.append((wake, items))
     return steps
@@ -146,14 +151,14 @@ class TestDiscoverMaxTtl:
         config["anomaly"] = {"kind": "pre_refresh",
                              "remaining_low": 3.0, "remaining_high": 5.0}
         prober, clock, _ = sim_prober(config)
-        with pytest.raises(SnoopError, match=r"^server_prefetches: a\.test: TTL jumped to"):
+        with pytest.raises(SnoopError, match=r"^server_prefetches: TTL jumped to"):
             discover_max_ttl(prober, clock, "sim", "a.test")
         # one initial read plus at most one checkpoint: round 1
         assert clock.now() < 2 * 300
 
     def test_static_ttl_server_detected(self, scripted):
         prober, clock, _ = scripted([77, 77])
-        with pytest.raises(SnoopError, match=r"^non_monotonic_ttl: a\.test: TTL stuck at 77"):
+        with pytest.raises(SnoopError, match=r"^non_monotonic_ttl: TTL stuck at 77"):
             discover_max_ttl(prober, clock, "sim", "a.test")
 
     def test_budget_exhaustion_raises(self, scripted):
@@ -162,15 +167,14 @@ class TestDiscoverMaxTtl:
         for value in candidates:
             script += [2, value]
         prober, clock, _ = scripted(script)
-        with pytest.raises(SnoopError, match=r"^discovery_budget_exceeded: a\.test: "
+        with pytest.raises(SnoopError, match=r"^discovery_budget_exceeded: "
                                              r"no TTL confirmed 2 times within 16 rounds"):
             discover_max_ttl(prober, clock, "sim", "a.test",
                              required_confirmations=2)
 
     def test_unresolvable_domain_raises(self, scripted):
         prober, clock, _ = scripted([None, None, None])
-        with pytest.raises(SnoopError, match=r"^unresolvable: a\.test returned no usable "
-                                             r"answer \(rcode "):
+        with pytest.raises(SnoopError, match=r"^unresolvable: no usable answer \(rcode "):
             discover_max_ttl(prober, clock, "sim", "a.test")
 
     def test_timeout_propagates(self, scripted):
@@ -185,10 +189,12 @@ class TestDiscoveryMachine:
         machine = DiscoveryMachine("sim", "a.test", required_confirmations=2)
         # first read, then per round a checkpoint 2 s before expiry and
         # a roll-over read 1 s after it
-        assert at_wakes(machine, [240, 2, 240, 2, 240]) == [
-            (238.0, []), (241.0, []), (479.0, []), (482.0, []), (None, [])]
-        assert machine.done
-        assert machine.estimate.candidates_seen == {240: 2}
+        steps = at_wakes(machine, [240, 2, 240, 2, 240])
+        assert steps[:-1] == [(238.0, []), (241.0, []), (479.0, []), (482.0, [])]
+        # the final step ends the machine and returns the estimate as its item
+        wake, [estimate] = steps[-1]
+        assert wake is None
+        assert estimate == MaxTtlEstimate("sim", "a.test", 240, 2, False, {240: 2})
 
     def test_a_checkpoint_sent_after_expiry_is_the_roll_over_read(self):
         machine = DiscoveryMachine("sim", "a.test", required_confirmations=2)
@@ -197,28 +203,29 @@ class TestDiscoveryMachine:
         # record was re-fetched at the maximum, which counts as a round
         assert machine.step(245.0, reply(240, at=245.0)) == (483.0, [])
         assert machine.step(483.0, reply(2, at=483.0)) == (486.0, [])
-        assert machine.step(486.0, reply(240, at=486.0)) == (None, [])
-        assert machine.estimate.candidates_seen == {240: 2}
+        wake, [estimate] = machine.step(486.0, reply(240, at=486.0))
+        assert wake is None
+        assert estimate.candidates_seen == {240: 2}
 
     def test_a_late_checkpoint_over_a_second_before_expiry_is_judged(self):
         machine = DiscoveryMachine("sim", "a.test", required_confirmations=2)
         machine.step(0.0, reply(240, at=0.0))
         # 1.5 s left: the record cannot have expired
-        assert machine.step(238.5, reply(240, at=238.5)) == (None, [CycleError(
-            "sim", "a.test", "discovery", 238.5, "non_monotonic_ttl",
-            "a.test: TTL stuck at 240 across 238s")])
-        assert machine.done and machine.estimate is None
+        wake, items = machine.step(238.5, reply(240, at=238.5))
+        assert wake is None
+        # the failure is the one item: no estimate
+        assert items == [CycleError("sim", "a.test", "discovery", 238.5,
+                                    "non_monotonic_ttl", "TTL stuck at 240 across 238s")]
 
     def test_failure_is_kept_for_the_caller(self):
         machine = DiscoveryMachine("sim", "a.test")
         wake, items = at_wakes(machine, [None, None, None])[-1]
-        assert wake is None and machine.done
+        assert wake is None
+        # the failure is the one item: no estimate
         [error] = items
         assert (error.server, error.domain, error.method, error.kind) == (
             "sim", "a.test", "discovery", "unresolvable")
-        assert error.message.startswith("a.test returned no usable answer (rcode ")
-        assert machine.estimate is None
-        assert machine.step(60.0, reply(240, at=60.0)) == (None, [])
+        assert error.message.startswith("no usable answer (rcode ")
 
     def test_an_unusable_answer_is_retried_and_the_counts_kept(self):
         # two empty answers, then a round confirms 240; a later empty
@@ -226,17 +233,18 @@ class TestDiscoveryMachine:
         script = [None, None, 240, 2, 240, None, 240, 2, 240]
         machine = DiscoveryMachine("sim", "a.test", required_confirmations=2)
         steps = at_wakes(machine, script)
-        assert all(items == [] for _, items in steps)
+        assert all(items == [] for _, items in steps[:-1])
         assert [wake for wake, _ in steps] == [
             30.0, 60.0, 298.0, 301.0, 539.0, 569.0, 807.0, 810.0, None]
-        assert machine.estimate.candidates_seen == {240: 2}
+        [estimate] = steps[-1][1]
+        assert estimate.candidates_seen == {240: 2}
 
     def test_usable_first_reads_do_not_rescue_a_domain_that_completes_no_round(
             self, scripted):
         # each first read resolves and each checkpoint after it is empty
         prober, clock, exchange = scripted([240, None] * 3, rtt_ms=0.0)
         assert discover_all(prober, clock, "sim", ["a.test"]) == ({}, {
-            "a.test": "unresolvable: a.test returned no usable answer (rcode 0)"})
+            "a.test": "unresolvable: no usable answer (rcode 0)"})
         assert not exchange.script
 
     def test_unusable_reads_are_spaced_by_the_backoff(self, scripted):
@@ -250,9 +258,9 @@ class TestDiscoveryMachine:
         # the empty checkpoint and the next first read each back off 30 s
         assert at_wakes(machine, [240, None, None, None]) == [
             (238.0, []), (268.0, []), (298.0, []),
+            # the failure ends the machine as its one item: no estimate
             (None, [CycleError("sim", "a.test", "discovery", 298.0, "unresolvable",
-                               "a.test returned no usable answer (rcode 0)")])]
-        assert machine.done and machine.estimate is None
+                               "no usable answer (rcode 0)")])]
 
     def test_a_timeout_is_stamped_once_the_retries_gave_up(self):
         machine = DiscoveryMachine("sim", "a.test")
@@ -312,8 +320,7 @@ class TestTtlRecursiveMachine:
         # the read is noted and arms the next checkpoint
         assert [(i.kind, i.message) for i in items] == [
             ("checkpoint_late", "checkpoint sent 305.0s after a read of TTL 300")]
-        assert wake == 603.0
-        assert not machine.done
+        assert wake == 603.0  # the machine goes on
 
     def test_a_second_late_checkpoint_in_a_row_arms_a_window_without_one(self):
         machine = TtlRecursiveMachine("sim", "a.test", max_ttl=300, window=300.0)
@@ -354,7 +361,7 @@ class TestTtlRecursiveMachine:
         steps = at_wakes(machine, [300, None] * 3)
         assert [wake for wake, _ in steps] == [298.0, 328.0, 626.0, 656.0, 954.0, None]
         assert [e.kind for _, items in steps for e in items] == ["unresolvable"] * 3
-        assert machine.done and machine.cycles_completed == 0
+        assert machine.cycles_completed == 0
 
     def test_a_scan_over_empty_checkpoints_ends_with_a_cycle_budget(self, scripted):
         prober, clock, exchange = scripted([300, None] * 100)
@@ -475,18 +482,18 @@ class TestRd0Machine:
 
     def test_three_consecutive_full_ttl_answers_flag_rd_ignored(self):
         machine = Rd0Machine("sim", "a.test", max_ttl=300, probe_interval=150.0)
-        _, (_, [second]), (_, [error]) = at_wakes(machine, [300, 300, 300])
+        _, (_, [second]), (wake, [error]) = at_wakes(machine, [300, 300, 300])
         # below the detection threshold a full-TTL reading is still a
         # dateable refresh, so it must count as an event, not vanish
         assert second.delay is not None
         assert error.kind == "rd_not_honored"
-        assert machine.done
+        assert wake is None
 
     def test_empty_answers_break_a_full_ttl_run(self):
         machine = Rd0Machine("sim", "a.test", max_ttl=300, probe_interval=150.0)
         steps = at_wakes(machine, [300, None, 300, None, 300, None])
         assert not any(isinstance(i, CycleError) for _, items in steps for i in items)
-        assert not machine.done
+        assert all(wake is not None for wake, _ in steps)
 
     def test_dated_client_refreshes_break_a_full_ttl_run(self):
         # refreshes at 0, 305, 640, 940: each postdates the previous
@@ -495,7 +502,7 @@ class TestRd0Machine:
         machine = Rd0Machine("sim", "a.test", max_ttl=300, probe_interval=160.0)
         steps = at_wakes(machine, [300, 140, 285, 125, 300, 140, 280])
         assert not any(isinstance(i, CycleError) for _, items in steps for i in items)
-        assert not machine.done
+        assert all(wake is not None for wake, _ in steps)
 
     def test_refreshes_dated_before_expiry_flag_a_prefetcher(self):
         # max 60, probes every 30s: each fresh reading dates a refresh
@@ -504,7 +511,7 @@ class TestRd0Machine:
         steps = at_wakes(machine, [60, 30, 57, 27, 54, 24, 51])
         assert [i.kind for _, items in steps for i in items
                 if isinstance(i, CycleError)] == ["server_prefetches"]
-        assert machine.done
+        assert steps[-1][0] is None
 
     def test_prefetching_sim_is_detected_once_the_cache_is_primed(self):
         config = quiet_zone(ttl=60)
@@ -558,10 +565,10 @@ class TestRd0Machine:
         # believed max 60 but the server hands out 300s ttls; the
         # exceeding read becomes the new lower bound for the maximum
         machine = Rd0Machine("sim", "a.test", max_ttl=60, probe_interval=30.0)
-        _, [error] = machine.step(0.0, reply(250, at=0.0))
+        wake, [error] = machine.step(0.0, reply(250, at=0.0))
         assert error.kind == "ttl_exceeds_max"
         assert machine.max_ttl == 250
-        assert not machine.done
+        assert wake is not None
 
 
 class TestMaxTtlAdoption:
@@ -587,7 +594,7 @@ class TestMaxTtlAdoption:
         assert [(i.kind, i.message) for i in steps[-1][1]] == [
             ("ttl_exceeds_max", "read 119 above believed max 60")]
         assert machine.max_ttl == 120
-        assert not machine.done
+        assert steps[-1][0] is not None
 
 
 class TestTimeoutStamps:
@@ -599,9 +606,9 @@ class TestTimeoutStamps:
     def test_the_stamp(self, method, stamp):
         machine = build_machine(method, "sim", "a.test", max_ttl=60, window=60.0,
                                 calibration=make_calibration())
-        _, [error] = machine.step(10.0, reply("timeout", at=18.0))
+        wake, [error] = machine.step(10.0, reply("timeout", at=18.0))
         assert (error.kind, error.at) == ("timeout", stamp)
-        assert not machine.done
+        assert wake is not None
 
 
 def make_calibration(cached=5.0, miss=55.0):
@@ -686,13 +693,13 @@ class TestTimingMachine:
         assert [wake for wake, _ in steps] == [120.0, 240.0, 360.0, None]
         assert [[e.kind for e in items] for _, items in steps] == [
             [], ["abstain"], ["abstain"], ["abstain"]]
-        assert machine.done and machine.cycles_completed == 0
+        assert machine.cycles_completed == 0
 
     def test_a_classified_read_breaks_an_abstain_run(self):
         machine = TimingMachine("sim", "a.test", max_ttl=60, window=60.0,
                                 calibration=make_calibration())
-        at_wakes(machine, [(60, 50.0)] + [(59, 30.0), (59, 30.0), (59, 4.0)] * 2)
-        assert not machine.done and machine.cycles_completed == 2
+        steps = at_wakes(machine, [(60, 50.0)] + [(59, 30.0), (59, 30.0), (59, 4.0)] * 2)
+        assert all(wake is not None for wake, _ in steps) and machine.cycles_completed == 2
 
     def test_a_scan_where_every_rtt_abstains_ends_with_a_cycle_budget(self, scripted):
         prober, clock, exchange = scripted([(60, 50.0)] + [(59, 30.0)] * 300)
@@ -704,6 +711,101 @@ class TestTimingMachine:
         prober, clock, _ = scripted([])
         with pytest.raises(ValueError):
             scan_a(prober, clock, "timing", 60, max_cycles=1)
+
+
+# what a probe can read of a.test, whose believed maximum is 300: TTLs at
+# and below it, an empty or truncated answer, or no answer at all
+TTL_READS = st.one_of(st.integers(290, 300), st.integers(0, 300),
+                      st.sampled_from([None, "truncated", "timeout"]))
+# against make_calibration(1.0, 50.0): threshold 25.5 with a guard band
+# of 12.25 ms either side, so cached below 13.25 and miss above 37.75
+TIMING_READS = st.one_of(
+    st.just("timeout"),
+    st.tuples(st.sampled_from([300, 299, 150, None, "truncated"]),
+              st.one_of(st.floats(0.1, 13.0), st.floats(13.5, 37.5),
+                        st.floats(38.0, 500.0))))
+
+
+class TestEveryScanEnds:
+    """With one cycle budgeted and no duration, a scan ends over any
+    script: a completed cycle retires the domain, and short of one, the
+    machine's own end rules or the STALL_LIMIT-th probe end it."""
+
+    @staticmethod
+    def probes_until_the_end(method, script):
+        # repeated well past the bound, so an endless scan exhausts it
+        clock = VirtualClock()
+        exchange = TtlScriptExchange(
+            clock, script * (1 + 2 * engine.STALL_LIMIT // len(script)))
+        prober = Prober(transport=exchange, clock=clock, retries=0, timeout=1.0)
+        scan_a(prober, clock, method, 300, make_calibration(1.0, 50.0), max_cycles=1)
+        return len(exchange.sent_at)
+
+    @settings(deadline=None)
+    @given(script=st.lists(TTL_READS, min_size=1, max_size=30))
+    @example(script=[300, "timeout"] * 100)
+    @example(script=[300, "truncated"] * 100)
+    def test_ttl_recursive(self, script):
+        assert self.probes_until_the_end("ttl_recursive", script) <= engine.STALL_LIMIT
+
+    @settings(deadline=None)
+    @given(script=st.lists(TTL_READS, min_size=1, max_size=30))
+    def test_rd0(self, script):
+        assert self.probes_until_the_end("rd0", script) <= engine.STALL_LIMIT
+
+    @settings(deadline=None)
+    @given(script=st.lists(TIMING_READS, min_size=1, max_size=30))
+    @example(script=[(300, 1.0), "timeout"] * 100)
+    def test_timing(self, script):
+        assert self.probes_until_the_end("timing", script) <= engine.STALL_LIMIT
+
+    @pytest.mark.parametrize("method,script", [
+        ("ttl_recursive", [300, "timeout"]), ("ttl_recursive", [300, "truncated"]),
+        ("timing", [(300, 1.0), "timeout"])])
+    def test_a_run_a_reply_breaks_ends_stalled(self, scripted, method, script):
+        prober, clock, exchange = scripted(script * 100)
+        result = scan_a(prober, clock, method, 300, make_calibration(1.0, 50.0),
+                        max_cycles=1)
+        assert len(exchange.sent_at) == engine.STALL_LIMIT
+        stalled = result.errors[-1]
+        assert (stalled.kind, stalled.message) == (
+            "stalled", f"no completed cycle in {engine.STALL_LIMIT} probes")
+        assert stalled.at == exchange.sent_at[-1]
+        assert "stalled" not in engine.INVALIDATING_KINDS and result.aborted == {}
+
+    def test_a_completed_cycle_restarts_the_count(self):
+        # 18 probes with no cycle and a window read as the 19th; then 19
+        # more, and only the 20th since that cycle ends the domain
+        machine = TtlRecursiveMachine("sim", "a.test", max_ttl=300, window=300.0)
+        steps = at_wakes(machine, [300, "truncated"] * 8 + [300, 2, 299]
+                         + ["truncated"] * 20)
+        assert machine.cycles_completed == 1
+        assert [wake is None for wake, _ in steps[-21:]] == [False] * 20 + [True]
+        assert steps[-1][1][-1].kind == "stalled"
+
+
+class TestRunMachines:
+    def test_a_machine_is_never_stepped_after_a_none_wake(self, scripted):
+        class Ending:
+            """Returns its scripted wakes in turn; a step past the last fails."""
+
+            recursion_desired = True
+            cycles_completed = 0
+
+            def __init__(self, domain, wakes):
+                self.server, self.domain, self.wakes = "sim", domain, list(wakes)
+
+            def step(self, now, reply):
+                assert self.wakes, f"{self.domain} was stepped after its None wake"
+                return self.wakes.pop(0), []
+
+        machines = [Ending("a.test", [None]), Ending("b.test", [5.0, 10.0, None]),
+                    Ending("c.test", [5.0, None])]
+        prober, clock, exchange = scripted([1] * 6)
+        engine._run_machines(prober, machines, 0.0, lambda items: None)
+        assert all(m.wakes == [] for m in machines)
+        assert [q.qname for q in exchange.queries] == [
+            "a.test", "b.test", "c.test", "b.test", "c.test", "b.test"]
 
 
 class TestObservationValidation:

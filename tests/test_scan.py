@@ -156,7 +156,8 @@ class TestRunScan:
         prober, clock, _ = sim_prober(config)
         found, failed = discover_all(prober, clock, "sim", ["alpha.test"])
         assert found == {}
-        assert failed["alpha.test"].startswith("server_prefetches: alpha.test: TTL jumped to")
+        kind, message = failed["alpha.test"].split(": ", 1)
+        assert kind == "server_prefetches" and message.startswith("TTL jumped to")
         prober, clock, _ = sim_prober(config)
         result = run_scan(prober, clock, "sim", ["alpha.test"],
                           max_ttls={"alpha.test": 60}, duration=4000)
@@ -263,7 +264,7 @@ class TestDiscoverAll:
         assert found["alpha.test"].max_ttl == 60
         assert "missing.test" in failed
         assert failed["missing.test"].startswith(
-            "unresolvable: missing.test returned no usable answer")
+            "unresolvable: no usable answer (rcode ")
 
     def test_domains_wait_out_their_expiries_together(self):
         prober, clock, _ = sim_prober(quiet_config())
@@ -300,9 +301,9 @@ class TestDiscoverAll:
                                      required_confirmations=CONFIRMATIONS)
         assert set(failed) == {"missing.test", "prefetch.test"}
         assert failed["missing.test"].startswith(
-            "unresolvable: missing.test returned no usable answer")
+            "unresolvable: no usable answer (rcode ")
         assert failed["prefetch.test"].startswith(
-            "server_prefetches: prefetch.test: TTL jumped to")
+            "server_prefetches: TTL jumped to")
         alone = estimates_alone(quiet_config(), QUIET_TTLS)
         assert {d: summary(e) for d, e in found.items()} == {
             d: summary(e) for d, e in alone.items()}
