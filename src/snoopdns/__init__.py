@@ -10,12 +10,11 @@ from .clock import Clock, SystemClock, VirtualClock
 from .corpus import (ObservationLog, ObservationWriter, ParseError, load_domain_list,
                      load_observations)
 from .engine import (INVALIDATING_KINDS, CycleError, DiscoveryMachine,
-                     InconsistentTtl, InsufficientSeparation, MaxTtlEstimate,
-                     Rd0Machine, RefreshObservation, SnoopError,
-                     TimingCalibration, TimingMachine, TtlExceedsMax,
-                     TtlRecursiveMachine, build_machine, calibrate_timing,
-                     classify_timing, classify_window_read,
-                     discover_max_ttl, snap_to_grid, ttl_grace)
+                     InsufficientSeparation, MaxTtlEstimate, Rd0Machine,
+                     RefreshObservation, SnoopError, TimingCalibration,
+                     TimingMachine, TtlRecursiveMachine, build_machine,
+                     calibrate_timing, classify_timing, discover_max_ttl,
+                     snap_to_grid, ttl_grace)
 from .estimation import (ArrivalEstimate, DomainStats, NoObservations, aggregate,
                          estimate, format_ranking_table, poisson_pmf,
                          rank_domains, spearman_rho, write_ranking_csv)
@@ -36,12 +35,11 @@ __all__ = [
     "Clock", "SystemClock", "VirtualClock",
     "ObservationLog", "ObservationWriter", "ParseError", "load_domain_list",
     "load_observations",
-    "INVALIDATING_KINDS", "CycleError", "DiscoveryMachine", "InconsistentTtl",
+    "INVALIDATING_KINDS", "CycleError", "DiscoveryMachine",
     "InsufficientSeparation", "MaxTtlEstimate", "Rd0Machine",
     "RefreshObservation", "SnoopError", "TimingCalibration", "TimingMachine",
-    "TtlExceedsMax", "TtlRecursiveMachine", "build_machine",
-    "calibrate_timing", "classify_timing",
-    "classify_window_read", "discover_max_ttl", "snap_to_grid", "ttl_grace",
+    "TtlRecursiveMachine", "build_machine", "calibrate_timing",
+    "classify_timing", "discover_max_ttl", "snap_to_grid", "ttl_grace",
     "ArrivalEstimate", "DomainStats", "NoObservations", "aggregate",
     "estimate", "format_ranking_table", "poisson_pmf", "rank_domains",
     "spearman_rho", "write_ranking_csv",

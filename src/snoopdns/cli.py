@@ -183,17 +183,21 @@ def _require_authorization(server: str, authorized: bool) -> None:
             f"to test it.")
 
 
+def _domain_name(what: str, name: str) -> str:
+    """name validated and normalised, else a usage error naming `what`."""
+    try:
+        return wire.validate_name(name)
+    except wire.InvalidName as exc:
+        raise UsageError(f"{what} {name!r} is not a domain name: {exc}") from None
+
+
 def _gather_domains(args, config: dict) -> list[str]:
     names: list[str] = []
     listed = _setting(args, config, "domains", None)
     for part in str(listed or "").split(","):
         name = part.strip()
         if name:
-            try:
-                names.append(wire.validate_name(name))
-            except wire.InvalidName as exc:
-                raise UsageError(f"--domains entry {name!r} is not a domain name: "
-                                 f"{exc}") from None
+            names.append(_domain_name("--domains entry", name))
     path = _setting(args, config, "domain_file", None)
     if path:
         loaded, skipped = corpus.load_domain_list(path)
@@ -305,11 +309,7 @@ def _load_max_ttls(path: str) -> dict[str, int]:
                 or not 1 <= ttl <= wire.MAX_TTL or ttl != int(ttl)):
             raise UsageError(f"--max-ttls entry for {domain} must be a whole number "
                              f"from 1 to {wire.MAX_TTL}, got {ttl!r}")
-        try:
-            out[wire.validate_name(domain)] = int(ttl)
-        except wire.InvalidName as exc:
-            raise UsageError(f"--max-ttls entry for {domain!r} is not a domain name: "
-                             f"{exc}") from None
+        out[_domain_name("--max-ttls entry for", domain)] = int(ttl)
     if not out:
         raise UsageError("--max-ttls file holds no usable entries")
     return out
@@ -336,8 +336,10 @@ def cmd_snoop(args) -> int:
         if missing:
             raise UsageError(f"--max-ttls file lacks: {', '.join(missing)}")
     zone = _setting(args, config, "calibration_domain", None)
-    if method == "timing" and not zone:
-        raise UsageError("timing method needs --calibration-domain")
+    if method == "timing":
+        if not zone:
+            raise UsageError("timing method needs --calibration-domain")
+        zone = _domain_name("--calibration-domain", zone)
     prober = _make_prober(args, config)
     clock = prober.clock
     with prober.transport:
@@ -393,7 +395,7 @@ def cmd_report(args) -> int:
     z = _z_for(confidence)
     observations = []
     corrupt = 0
-    invalidated: set[str] = set()
+    invalidated: set[tuple[str, str]] = set()
     for path in args.inputs:
         try:
             log = corpus.load_observations(path)
@@ -402,7 +404,7 @@ def cmd_report(args) -> int:
             return 2
         observations.extend(log.observations)
         corrupt += log.corrupt_lines
-        invalidated.update(e.domain for e in log.errors
+        invalidated.update((e.server, e.domain) for e in log.errors
                            if e.kind in engine.INVALIDATING_KINDS)
     pairs = sorted({(o.server, o.method) for o in observations})
     if len(pairs) > 1:
@@ -413,10 +415,11 @@ def cmd_report(args) -> int:
     if corrupt:
         print(f"skipped {corrupt} corrupt lines", file=sys.stderr)
     if invalidated:
-        observations = [o for o in observations if o.domain not in invalidated]
-        for domain in sorted(invalidated):
-            print(f"excluding {domain}: the log marks its server behavior as "
-                  f"invalidating the method", file=sys.stderr)
+        # an error invalidates its own server's view of the domain only
+        observations = [o for o in observations if (o.server, o.domain) not in invalidated]
+        for server, domain in sorted(invalidated):
+            print(f"excluding {domain} on {server}: the log marks that server's "
+                  f"behavior as invalidating the method", file=sys.stderr)
     stats = estimation.aggregate(observations)
     estimates = [estimation.estimate(s, z=z) for s in stats.values()
                  if s.observed_seconds > 0]

@@ -30,9 +30,10 @@ every result: a fault as a CycleError, a completed cycle as a
 RefreshObservation (the watched window and the first refresh's delay
 into it, None when censored), discovery's MaxTtlEstimate.
 
-Each check of that invariant has one home: classify_window_read,
-_checkpoint_fits, _check_countdown, _window, and the _adopt_max, _observe
-and _next (the stall rule) methods that every probing machine inherits.
+Each check of that invariant has one home: _checkpoint_fits,
+_check_countdown, _window, TtlRecursiveMachine._window_read, and the
+_answered (whether a reply is a read), _adopt_max, _observe and _next
+(the stall rule) methods that every probing machine inherits.
 
 The operational constants are module constants, not parameters, each
 defined with its reason: POST_EXPIRY_EPSILON, SNAP_GRID,
@@ -55,21 +56,12 @@ class SnoopError(Exception):
     """Base for engine-level failures."""
 
 
-class TtlExceedsMax(SnoopError):
-    """A read came back above the believed maximum TTL; the stored
-    maximum is stale and should be rediscovered."""
-
-
 class InsufficientSeparation(SnoopError):
     """Cached and uncached response times overlap too much to classify."""
 
     def __init__(self, message: str, calibration: "TimingCalibration | None" = None):
         super().__init__(message)
         self.calibration = calibration
-
-
-class InconsistentTtl(SnoopError):
-    """A read implies a refresh before the record could have expired."""
 
 
 # wait this long past a computed expiry before re-querying, absorbing
@@ -88,7 +80,9 @@ DEDUP_EPSILON = 2.0
 CHECKPOINT_MARGIN = 2.0
 CHECKPOINT_EVERY = 16  # snoop cycles per such check; cycle 0 always checks
 DISCOVERY_ROUND_FACTOR = 8  # discovery rounds allowed per required confirmation
-TIMEOUT_BACKOFF = 5.0  # ttl_recursive/timing: seconds to the next probe after a timeout
+# seconds to the next ttl_recursive or timing probe after a timeout, and
+# to the next timing probe after a truncated reply
+TIMEOUT_BACKOFF = 5.0
 # seconds to the next probe after a ttl_recursive or discovery read with
 # no usable answer, so one transient upstream failure does not drop a name
 NOANSWER_BACKOFF = 30.0
@@ -206,27 +200,6 @@ class TimingCalibration:
 # server behaviors that invalidate the method for a domain: everything
 # observed there measures the server or ourselves, not its clients
 INVALIDATING_KINDS = frozenset({"server_prefetches", "rd_not_honored"})
-
-
-def classify_window_read(t_prime: float, max_ttl: float, window: float) -> float | None:
-    """Interpret the TTL read by a post-window probe.
-
-    Returns None when the probe itself refreshed the record (censored:
-    T' within grace of the maximum), or the first-refresh delay after
-    expiry, d = window - (max_ttl - T'), clamped at zero within grace.
-    Raises TtlExceedsMax for reads above the believed maximum and
-    InconsistentTtl for reads implying a refresh before expiry.
-    """
-    grace = ttl_grace(max_ttl)
-    if t_prime > max_ttl + grace:
-        raise TtlExceedsMax(f"read {t_prime} above believed max {max_ttl}")
-    if t_prime >= max_ttl - grace:
-        return None
-    delay = window - (max_ttl - t_prime)
-    if delay < -grace:
-        raise InconsistentTtl(
-            f"read {t_prime} implies a refresh {-delay:.1f}s before expiry")
-    return min(max(delay, 0.0), window)
 
 
 def _check_countdown(last_ttl: int, last_at: float, ttl: int,
@@ -430,13 +403,13 @@ def _window(window: float, max_ttl: int) -> float:
 class _ProbingMachine:
     """What the three probing machines share: the domain they probe, the
     completed-cycle count that max_cycles budgets read, and the runs of
-    timeouts and of probes since the last cycle. _adopt_max is the one
-    place a stale maximum (and its ttl_grace, _grace) is replaced,
-    _observe the one place a completed cycle is recorded, _answered the
-    one place a probe and a timeout are counted, and _next the one place
-    those runs end the domain. step(now, reply) returns (next wake,
-    items); a None wake ends the domain, from _next or the machine's own
-    end rules."""
+    timeouts and of probes since the last cycle. _answered is the one
+    place a probe is counted and a reply judged a read of the cache,
+    _adopt_max the one place a stale maximum (and its ttl_grace, _grace)
+    is replaced, _observe the one place a completed cycle is recorded,
+    and _next the one place those runs end the domain. step(now, reply)
+    returns (next wake, items); a None wake ends the domain, from _next
+    or the machine's own end rules."""
 
     method: str
     recursion_desired = True
@@ -476,18 +449,23 @@ class _ProbingMachine:
 
     def _answered(self, items: list, reply: ProbeReply | ProbeTimeout,
                   stamp: float | None = None) -> ProbeReply | None:
-        """Count the probe; return its reply, or None after annotating a timeout.
-
-        The timeout is stamped at `stamp`, or once the retries gave up
-        when it is None.
+        """Count the probe; return its reply if it reads the cache, else
+        None after annotating what it is: a timeout, stamped at `stamp` or,
+        when that is None, once the retries gave up; or a truncated (TC=1)
+        reply, such as a rate limiter's empty "slip", stamped at its send.
         """
         self._unobserved += 1
-        if not isinstance(reply, ProbeTimeout):
-            self._timeouts = 0
-            return reply
-        self._timeouts += 1
-        items.append(self._error(reply.at if stamp is None else stamp, "timeout", str(reply)))
-        return None
+        if isinstance(reply, ProbeTimeout):
+            self._timeouts += 1
+            items.append(self._error(reply.at if stamp is None else stamp, "timeout",
+                                     str(reply)))
+            return None
+        self._timeouts = 0
+        if reply.response.truncated:
+            items.append(self._error(reply.sent_at, "truncated",
+                                     "truncated response; cycle discarded"))
+            return None
+        return reply
 
     def _next(self, items: list, now: float, wake: float | None) -> tuple[float | None, list]:
         """The step's (wake, items), None after FAILURE_LIMIT timeouts in a
@@ -506,7 +484,7 @@ class TtlRecursiveMachine(_ProbingMachine):
 
     Each cycle watches the window [E, E + W] where E is the last known
     expiry instant: the post-window probe reads T' and classifies the
-    cycle (see classify_window_read). That same answer's TTL fixes the
+    cycle (see _window_read). That same answer's TTL fixes the
     next expiry, so steady-state cycles cost one query. Cycle 0 and
     every CHECKPOINT_EVERY-th cycle insert a pre-expiry checkpoint probe
     that detects servers refreshing ahead of expiry. After two
@@ -549,16 +527,11 @@ class TtlRecursiveMachine(_ProbingMachine):
     def step(self, now: float, reply: ProbeReply | ProbeTimeout) -> tuple[float | None, list]:
         items: list = []
         reply = self._answered(items, reply)
-        ttl = None
-        if reply is not None and reply.response.truncated:
-            items.append(self._error(reply.sent_at, "truncated",
-                                     "truncated response; cycle discarded"))
-        elif reply is not None:
-            ttl = wire.min_answer_ttl(reply.response, self.domain)
-            if ttl is None:
-                self._failures += 1
-                items.append(self._error(reply.sent_at, "unresolvable",
-                                         f"no usable answer (rcode {reply.response.rcode})"))
+        ttl = None if reply is None else wire.min_answer_ttl(reply.response, self.domain)
+        if reply is not None and ttl is None:
+            self._failures += 1
+            items.append(self._error(reply.sent_at, "unresolvable",
+                                     f"no usable answer (rcode {reply.response.rcode})"))
         if ttl is None:
             # no usable read: the next one starts over
             self._mode = "init"
@@ -599,13 +572,24 @@ class TtlRecursiveMachine(_ProbingMachine):
             items.append(self._error(reply.sent_at, "window_overrun",
                                      f"probe ran {window_eff:.1f}s after expiry"))
         elif not self._adopt_max(items, reply.sent_at, ttl):
-            try:
-                delay = classify_window_read(ttl, self.max_ttl, window_eff)
-            except InconsistentTtl as exc:
-                items.append(self._error(reply.sent_at, "inconsistent_ttl", str(exc)))
-            else:
-                self._observe(items, self._expiry, window_eff, reply.rtt_ms, delay)
+            self._window_read(items, reply, ttl, window_eff)
         return self._next(items, now, self._arm(reply.sent_at, ttl))
+
+    def _window_read(self, items: list, reply: ProbeReply, t_prime: int, window: float) -> None:
+        """Record the cycle a read of T' a window past expiry classifies:
+        censored when T' is within grace of the maximum (the probe itself
+        refreshed the record), else an event d = window - (max_ttl - T') in,
+        clamped to [0, window], or inconsistent_ttl when d < -grace."""
+        delay = window - (self.max_ttl - t_prime)
+        if t_prime >= self.max_ttl - self._grace:
+            self._observe(items, self._expiry, window, reply.rtt_ms)
+        elif delay < -self._grace:
+            items.append(self._error(reply.sent_at, "inconsistent_ttl",
+                                     f"read {t_prime} implies a refresh "
+                                     f"{-delay:.1f}s before expiry"))
+        else:
+            self._observe(items, self._expiry, window, reply.rtt_ms,
+                          min(max(delay, 0.0), window))
 
 
 class Rd0Machine(_ProbingMachine):
@@ -613,9 +597,9 @@ class Rd0Machine(_ProbingMachine):
 
     An answer TTL T places the last refresh at (probe time - (max_ttl -
     T)); consecutive probes implying the same instant are one event. An
-    empty answer means nothing is cached. Every probe contributes its
-    inter-probe span as observed time, so event counts over total span
-    estimate the cache refresh rate: how often the record re-enters the
+    empty answer means nothing is cached. Every read contributes its
+    span since the last read as observed time, so event counts over total
+    span estimate the cache refresh rate: how often the record re-enters the
     cache. For clients that mostly find the cache cold (lookup spacing
     above max_ttl) that equals their lookup rate; for busier domains it
     saturates at 1/(max_ttl + mean wait), since lookups that hit a warm

@@ -23,8 +23,8 @@ Resolver behaviors under test, each one SimConfig value that is None
 (True for honors_rd0) on a plain resolver:
   honors_rd0     rd_policy honor: non-recursive queries never populate
                  the cache; ignore: the server recurses regardless.
-  ttl_cap        ttl_policy override: every record is cached with the
-                 resolver's own maximum TTL instead of the zone's.
+  ttl_cap        ttl_policy override: every record is cached with its
+                 zone's TTL capped at the resolver's own maximum.
   prefetch_band  anomaly pre_refresh (low, high): the server re-fetches
                  a record when its remaining TTL falls inside [low,
                  high], so the cache never empties on its own.
@@ -69,8 +69,8 @@ class SimConfig:
 
     zones          domain -> ZoneRecord, the authoritative data
     honors_rd0     False when the server recurses regardless of the RD bit
-    ttl_cap        the TTL every record is cached with, else None: each
-                   zone's own TTL
+    ttl_cap        the cap on every record's cached TTL, which is then
+                   min(zone TTL, ttl_cap), else None: each zone's own TTL
     prefetch_band  (low, high): the server re-fetches a cached record when
                    its remaining TTL falls inside it, else None
     clients        (domain, kind, value) per population in listed order;
@@ -375,8 +375,8 @@ class Sim:
     def _refresh(self, domain: str, at: float, cause: str) -> None:
         entry = self.cache.get(domain)
         if entry is None:  # a record is cached with the same TTL every time
-            ttl_cap = self.config.ttl_cap
-            max_ttl = _zone_for(self.config.zones, domain).ttl if ttl_cap is None else ttl_cap
+            ttl, cap = _zone_for(self.config.zones, domain).ttl, self.config.ttl_cap
+            max_ttl = ttl if cap is None else min(ttl, cap)
             entry = self.cache[domain] = _CacheEntry(at + max_ttl, max_ttl)
         else:
             entry.generation += 1

@@ -132,6 +132,8 @@ class TestExitCodes:
         (["--domains", "a.test,b.test"], "--max-ttls file lacks: b.test"),
         (["--domains", "a.test", "--method", "timing"],
          "timing method needs --calibration-domain"),
+        (["--domains", "a.test", "--method", "timing", "--calibration-domain", "bad..name"],
+         "--calibration-domain 'bad..name' is not a domain name: empty label"),
     ])
     def test_snoop_input_it_cannot_use_is_a_usage_error_before_any_probe(
             self, flags, message, tmp_path, monkeypatch, capsys):
@@ -467,6 +469,21 @@ class TestReportCommand:
         assert "tainted.test" not in captured.out
         assert "excluding tainted.test" in captured.err
 
+    def test_an_error_excludes_a_domain_only_on_its_own_server(self, tmp_path, capsys):
+        from snoopdns.corpus import record_line
+        from snoopdns.engine import CycleError
+
+        observed = observation_log(tmp_path, ["d.test"], name="x.jsonl", server="10.0.0.1")
+        tainted = tmp_path / "y.jsonl"
+        tainted.write_text(record_line(CycleError(
+            server="10.9.9.9", domain="d.test", method="rd0", at=30.0,
+            kind="rd_not_honored", message="fetches on our probes"), "t"))
+        assert cli.main(["report", "--in", observed, "--in", str(tainted),
+                         "--format", "csv"]) == 0
+        captured = capsys.readouterr()
+        assert [row["domain"] for row in csv.DictReader(io.StringIO(captured.out))] == [
+            "d.test"]
+        assert "excluding d.test on 10.9.9.9" in captured.err
 
     def test_malformed_error_records_are_skipped_not_fatal(self, tmp_path, capsys):
         from snoopdns.corpus import record_line

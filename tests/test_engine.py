@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 
 from snoopdns import engine
 from snoopdns.clock import VirtualClock
-from snoopdns.engine import (CycleError, DiscoveryMachine, InconsistentTtl,
-                             InsufficientSeparation, MaxTtlEstimate, Rd0Machine,
-                             RefreshObservation, SnoopError, TimingCalibration,
-                             TimingMachine, TtlExceedsMax, TtlRecursiveMachine,
-                             build_machine, calibrate_timing, classify_timing,
-                             classify_window_read, discover_max_ttl,
-                             snap_to_grid, ttl_grace)
+from snoopdns.engine import (CycleError, DiscoveryMachine, InsufficientSeparation,
+                             MaxTtlEstimate, Rd0Machine, RefreshObservation,
+                             SnoopError, TimingCalibration, TimingMachine,
+                             TtlRecursiveMachine, build_machine, calibrate_timing,
+                             classify_timing, discover_max_ttl, snap_to_grid,
+                             ttl_grace)
 from snoopdns.scan import discover_all, run_scan
 from snoopdns.simnet import SimExchange, build_sim
 from snoopdns.transport import Prober
@@ -83,33 +82,44 @@ class TestSnapToGrid:
         assert snap_to_grid(reading) == expected
 
 
-class TestClassifyWindowRead:
-    # max 300 has grace 3
+class TestWindowRead:
+    """The verdict on a read of T' a window W past expiry, as one step's
+    items: max 300 has grace 3, and the read follows a first read of 300
+    and cycle 0's checkpoint, so the window opens at 300."""
+
+    @staticmethod
+    def window_read(t_prime, window):
+        machine = TtlRecursiveMachine("sim", "a.test", max_ttl=300, window=window)
+        *_, (wake, items) = at_wakes(machine, [300, 2, t_prime])
+        assert wake is not None
+        return items
+
     def test_event_delay(self):
-        assert classify_window_read(120, 300, 300) == pytest.approx(120.0)
+        [observation] = self.window_read(120, 300.0)
+        assert observation.delay == pytest.approx(120.0)
+        assert (observation.window_start, observation.window_length) == (300.0, 300.0)
 
-    def test_read_at_full_ttl_is_censored(self):
-        assert classify_window_read(300, 300, 300) is None
-        assert classify_window_read(299, 300, 300) is None
-        assert classify_window_read(297, 300, 300) is None
-
-    def test_read_above_max_raises(self):
-        with pytest.raises(TtlExceedsMax):
-            classify_window_read(320, 300, 300)
+    @pytest.mark.parametrize("t_prime", [300, 299, 297])
+    def test_read_at_full_ttl_is_censored(self, t_prime):
+        [observation] = self.window_read(t_prime, 300.0)
+        assert observation.censored is True
 
     def test_read_just_inside_grace_above_max_is_censored(self):
-        assert classify_window_read(302, 300, 300) is None
+        [observation] = self.window_read(302, 300.0)
+        assert observation.censored is True
 
-    def test_impossible_early_refresh_raises(self):
-        with pytest.raises(InconsistentTtl):
-            classify_window_read(100, 300, 10)
+    def test_impossible_early_refresh_is_inconsistent(self):
+        [error] = self.window_read(100, 10.0)
+        assert error == CycleError("sim", "a.test", "ttl_recursive", 310.0, "inconsistent_ttl",
+                                   "read 100 implies a refresh 190.0s before expiry")
 
     def test_slightly_negative_delay_clamps_to_zero(self):
-        assert classify_window_read(289, 300, 10) == 0.0
+        [observation] = self.window_read(289, 10.0)
+        assert observation.delay == 0.0
 
     def test_delay_never_exceeds_window(self):
-        delay = classify_window_read(296, 300, 10)
-        assert 0 <= delay <= 10
+        [observation] = self.window_read(296, 10.0)
+        assert 0 <= observation.delay <= 10
 
 
 class TestDiscoverMaxTtl:
@@ -609,6 +619,31 @@ class TestTimeoutStamps:
         wake, [error] = machine.step(10.0, reply("timeout", at=18.0))
         assert (error.kind, error.at) == ("timeout", stamp)
         assert wake is not None
+
+
+class TestTruncatedReplies:
+    """A truncated (TC=1) reply reads nothing: each machine annotates it
+    as sent and takes the path it takes for a timeout."""
+
+    TRUNCATED = "truncated response; cycle discarded"
+
+    def test_rd0_logs_no_span_for_it(self):
+        machine = Rd0Machine("sim", "a.test", max_ttl=300, probe_interval=100.0)
+        first, truncated, (_, [observation]) = at_wakes(machine, [250, "truncated", None])
+        assert first == (100.0, [])
+        assert truncated == (200.0, [CycleError("sim", "a.test", "rd0", 100.0, "truncated",
+                                                self.TRUNCATED)])
+        # the next read's span covers the probe that read nothing
+        assert (observation.window_start, observation.window_length) == (0.0, 200.0)
+        assert observation.censored is True
+
+    def test_timing_classifies_no_rtt_of_it(self):
+        machine = TimingMachine("sim", "a.test", max_ttl=300, window=300.0,
+                                calibration=make_calibration())
+        steps = at_wakes(machine, [(300, 1.0), ("truncated", 1.0)])
+        assert steps == [(600.0, []), (600.0 + engine.TIMEOUT_BACKOFF, [CycleError(
+            "sim", "a.test", "timing", 600.0, "truncated", self.TRUNCATED)])]
+        assert machine.cycles_completed == 0
 
 
 def make_calibration(cached=5.0, miss=55.0):

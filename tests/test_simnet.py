@@ -258,12 +258,12 @@ class TestEventLog:
               {"domain": "log2.example", "process": {"kind": "none"}, "label": "idle"},
               {"domain": "www.log3.example",
                "process": {"kind": "periodic", "interval": 70.0}}]},
-         "probe", "1815d5ecf5ccb5c88858867cd986d005ab88c676f55290f7062a9a46e46bdbc6"),
+         "probe", "e794cfddd8564e4af55e15dcb906d4db32e68488015d06602474181deb7157b4"),
     ])
     def test_ground_truth_is_pinned(self, overrides, cause, digest):
         # The first two digests were computed when Sim.log was a list of
-        # SimEvent, the third when the scenario options were one dataclass
-        # each; a change to how the log or the options are stored must
+        # SimEvent, the third when ttl_policy override became a cap on each
+        # zone's TTL; a change to how the log or the options are stored must
         # leave every entry alone.
         log = pinned_log_batch(**overrides).sim.log
         kinds = {(e.kind, e.cause) for e in log}
@@ -503,11 +503,14 @@ class TestCacheModel:
         reply, _ = sim.handle_query(query("a.test", rd=False), 5.0)
         assert reply.answers[0].ttl == 60
 
-    def test_ttl_override_policy_caps_the_cache(self):
-        config = base_config(ttl_policy={"mode": "override", "max_ttl": 30})
+    @pytest.mark.parametrize("zone_ttl,cap,answered", [(60, 30, 30), (300, 90, 90),
+                                                       (60, 90, 60)])
+    def test_ttl_override_policy_caps_the_cache(self, zone_ttl, cap, answered):
+        config = base_config(zones={"a.test": {"address": "10.0.0.1", "ttl": zone_ttl}},
+                             ttl_policy={"mode": "override", "max_ttl": cap})
         sim = build_sim(config)
         reply, _ = sim.handle_query(query("a.test"), 0.0)
-        assert reply.answers[0].ttl == 30
+        assert reply.answers[0].ttl == answered
 
     def test_unknown_domain_is_nxdomain(self):
         sim = build_sim(base_config())
