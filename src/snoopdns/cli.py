@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 usage error, 2 operational failure.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import statistics
@@ -165,7 +166,7 @@ def _is_loopback(server: str) -> bool:
         host, _ = split_server(server)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if host.lower() in ("localhost", "sim"):
+    if host.lower() == "localhost":
         return True
     try:
         return ipaddress.ip_address(host).is_loopback
@@ -252,10 +253,22 @@ def _z_for(confidence: float) -> float:
     return statistics.NormalDist().inv_cdf((1 + confidence) / 2)
 
 
-def _open_out(path: str | None):
+@contextlib.contextmanager
+def _output(path: str | None):
+    """stdout when path is missing or "-", else the file, appended to when
+    its name ends in .jsonl and closed on the way out."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "a" if path.endswith(".jsonl") else "w", encoding="utf-8"), True
+        yield sys.stdout
+        return
+    with open(path, "a" if path.endswith(".jsonl") else "w", encoding="utf-8") as out:
+        yield out
+
+
+def _write_ranking(out, fmt: str, ranked: list) -> None:
+    if fmt == "csv":
+        estimation.write_ranking_csv(out, ranked)
+    else:
+        out.write(estimation.format_ranking_table(ranked))
 
 
 def cmd_discover_ttl(args) -> int:
@@ -280,13 +293,9 @@ def cmd_discover_ttl(args) -> int:
         } for d, m in found.items()},
         "failed": failed,
     }
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         json.dump(payload, out, indent=2, sort_keys=True)
         out.write("\n")
-    finally:
-        if close:
-            out.close()
     return 0 if found else 2
 
 
@@ -359,17 +368,12 @@ def cmd_snoop(args) -> int:
             calibration = engine.calibrate_timing(prober, server, zone)
 
         scan_id = args.scan_id or f"scan-{int(time.time()):x}-{os.getpid():x}"
-        out, close = _open_out(args.out)
-        try:
-            writer = corpus.ObservationWriter(out, scan_id)
+        with _output(args.out) as out:
             result = scan.run_scan(prober, clock, server, domains, max_ttls=max_ttls,
                                    method=method, window_fraction=window_fraction,
                                    probe_interval=probe_interval, duration=duration,
                                    max_cycles=cycles, calibration=calibration,
-                                   writer=writer)
-        finally:
-            if close:
-                out.close()
+                                   writer=corpus.ObservationWriter(out, scan_id))
     for domain, why in result.aborted.items():
         print(f"aborted {domain}: {why}", file=sys.stderr)
     print(f"{len(result.observations)} observations, {len(result.errors)} "
@@ -426,16 +430,8 @@ def cmd_report(args) -> int:
     if not estimates:
         print("error: no usable observations", file=sys.stderr)
         return 2
-    ranked = estimation.rank_domains(estimates, top_n=top)
-    out, close = _open_out(args.out)
-    try:
-        if fmt == "csv":
-            estimation.write_ranking_csv(out, ranked)
-        else:
-            out.write(estimation.format_ranking_table(ranked))
-    finally:
-        if close:
-            out.close()
+    with _output(args.out) as out:
+        _write_ranking(out, fmt, estimation.rank_domains(estimates, top_n=top))
     return 0
 
 
@@ -453,26 +449,17 @@ def cmd_simulate(args) -> int:
     sim_config = simnet.config_from_dict(raw)
     fmt = _setting(args, config, "format", "table")
 
-    writer = None
-    out, close = (None, False)
-    if args.out:
-        scan_id = args.scan_id or f"sim-{sim_config.seed:08x}"
-        out, close = _open_out(args.out)
-        writer = corpus.ObservationWriter(out, scan_id)
-    try:
+    # with no --out the scan is not logged: stdout carries the ranking
+    with (_output(args.out) if args.out else contextlib.nullcontext()) as out:
+        writer = None if out is None else corpus.ObservationWriter(
+            out, args.scan_id or f"sim-{sim_config.seed:08x}")
         result = scan.run_batch(sim_config, duration=duration, method=method,
                                 window_fraction=window_fraction,
                                 probe_interval=probe_interval,
                                 required_confirmations=confirmations,
                                 writer=writer)
-    finally:
-        if close:
-            out.close()
 
-    if fmt == "csv":
-        estimation.write_ranking_csv(sys.stdout, result.estimates)
-    else:
-        sys.stdout.write(estimation.format_ranking_table(result.estimates))
+    _write_ranking(sys.stdout, fmt, result.estimates)
     lines = []
     for domain, why in sorted(result.discovery_failed.items()):
         lines.append(f"discovery failed for {domain}: {why}")

@@ -31,9 +31,10 @@ RefreshObservation (the watched window and the first refresh's delay
 into it, None when censored), discovery's MaxTtlEstimate.
 
 Each check of that invariant has one home: _checkpoint_fits,
-_check_countdown, _window, TtlRecursiveMachine._window_read, and the
-_answered (whether a reply is a read), _adopt_max, _observe and _next
-(the stall rule) methods that every probing machine inherits.
+_check_countdown, _window, TtlRecursiveMachine._window_read, _answered
+(whether a reply is a read), which every machine inherits, discovery
+included, and the _adopt_max, _observe and _next (the stall rule)
+methods that every probing machine inherits.
 
 The operational constants are module constants, not parameters, each
 defined with its reason: POST_EXPIRY_EPSILON, SNAP_GRID,
@@ -234,7 +235,47 @@ def _checkpoint_fits(ttl: int) -> bool:
     return ttl > CHECKPOINT_MARGIN + POST_EXPIRY_EPSILON + 1.0
 
 
-class DiscoveryMachine:
+class _Machine:
+    """What every machine shares: the (server, domain) it probes, the
+    method its faults carry, the probe it wants at its wake, and
+    _answered, the one place a probe is counted and a reply judged a read
+    of the cache. It counts the runs of timeouts and of probes since the
+    last cycle that a probing machine's _next reads."""
+
+    method: str
+    recursion_desired = True
+
+    def __init__(self, server: str, domain: str):
+        self.server = server
+        self.domain = domain
+        self._timeouts = 0
+        self._unobserved = 0
+
+    def _error(self, at: float, kind: str, message: str) -> CycleError:
+        return CycleError(self.server, self.domain, self.method, at, kind, message)
+
+    def _answered(self, items: list, reply: ProbeReply | ProbeTimeout,
+                  stamp: float | None = None) -> ProbeReply | None:
+        """Count the probe; return its reply if it reads the cache, else
+        None after annotating what it is: a timeout, stamped at `stamp` or,
+        when that is None, once the retries gave up; or a truncated (TC=1)
+        reply, such as a rate limiter's empty "slip", stamped at its send.
+        """
+        self._unobserved += 1
+        if isinstance(reply, ProbeTimeout):
+            self._timeouts += 1
+            items.append(self._error(reply.at if stamp is None else stamp, "timeout",
+                                     str(reply)))
+            return None
+        self._timeouts = 0
+        if reply.response.truncated:
+            items.append(self._error(reply.sent_at, "truncated",
+                                     "truncated response; cycle discarded"))
+            return None
+        return reply
+
+
+class DiscoveryMachine(_Machine):
     """Maximum-TTL discovery of one domain by expiry roll-over.
 
     Reads the current TTL, then each round probes just past its expiry;
@@ -246,20 +287,20 @@ class DiscoveryMachine:
     (see _check_countdown). A read with no usable answer backs off
     NOANSWER_BACKOFF and starts over from a first read, keeping the
     counts; the FAILURE_LIMIT-th with no counted round between them
-    fails the domain, while a timeout fails it at once. Only the final
-    step, with its None wake, returns an item: the MaxTtlEstimate, or a
-    CycleError of method "discovery" and kind unresolvable, timeout,
-    server_prefetches, non_monotonic_ttl or discovery_budget_exceeded.
-    A timeout is stamped when the retries gave up.
+    fails the domain, while a reply that reads nothing (_answered: a
+    timeout, stamped when the retries gave up, or a truncated reply)
+    fails it at once. Only the final step, with its None wake, returns
+    an item: the MaxTtlEstimate, or a CycleError of method "discovery"
+    and kind unresolvable, timeout, truncated, server_prefetches,
+    non_monotonic_ttl or discovery_budget_exceeded.
     """
 
-    recursion_desired = True
+    method = "discovery"
 
     def __init__(self, server: str, domain: str, required_confirmations: int = 5):
         if required_confirmations < 1:
             raise ValueError("required_confirmations must be at least 1")
-        self.server = server
-        self.domain = domain
+        super().__init__(server, domain)
         self.required = required_confirmations
         self._mode = "first"
         self._last_ttl = 0
@@ -268,19 +309,18 @@ class DiscoveryMachine:
         self._snapped: dict[int, bool] = {}
         self._failures = 0
 
-    def _fail(self, at: float, kind: str, message: str) -> tuple[None, list]:
-        return None, [CycleError(self.server, self.domain, "discovery", at, kind, message)]
-
     def step(self, now: float, reply: ProbeReply | ProbeTimeout) -> tuple[float | None, list]:
-        if isinstance(reply, ProbeTimeout):
-            return self._fail(reply.at, "timeout", str(reply))
+        items: list = []
+        reply = self._answered(items, reply)
+        if reply is None:
+            return None, items
         at = reply.sent_at
         ttl = wire.min_answer_ttl(reply.response, self.domain)
         if ttl is None:
             self._failures += 1
             if self._failures >= FAILURE_LIMIT:
-                return self._fail(at, "unresolvable",
-                                  f"no usable answer (rcode {reply.response.rcode})")
+                return None, [self._error(at, "unresolvable",
+                                          f"no usable answer (rcode {reply.response.rcode})")]
             # as a scan does: back off, then start over from a first read
             self._mode = "first"
             return at + NOANSWER_BACKOFF, []
@@ -292,7 +332,7 @@ class DiscoveryMachine:
                 return at + ttl + POST_EXPIRY_EPSILON, []
             kind, message = verdict
             if kind != "checkpoint_late":
-                return self._fail(at, kind, message)
+                return None, [self._error(at, kind, message)]
             # a busy scheduler sent the checkpoint once the record had
             # expired: it re-fetched the record, so it is the roll-over read
             self._mode = "rollover"
@@ -312,9 +352,9 @@ class DiscoveryMachine:
 
         max_rounds = self.required * DISCOVERY_ROUND_FACTOR
         if sum(self._counts.values()) >= max_rounds:
-            return self._fail(at, "discovery_budget_exceeded",
-                              f"no TTL confirmed {self.required} times "
-                              f"within {max_rounds} rounds; candidates seen: {self._counts}")
+            return None, [self._error(
+                at, "discovery_budget_exceeded", f"no TTL confirmed {self.required} times "
+                f"within {max_rounds} rounds; candidates seen: {self._counts}")]
         # next round: a checkpoint shortly before expiry unless the TTL is
         # too short for one, then the roll-over read just past it
         self._last_ttl, self._last_at = ttl, at
@@ -352,15 +392,21 @@ def calibrate_timing(prober: Prober, server: str,
     the midpoint of the two medians; separation_quality is the fraction
     of samples falling on the correct side. Below QUALITY_FLOOR the
     server's jitter swamps the recursion cost and InsufficientSeparation
-    is raised.
+    is raised. A truncated (TC=1) reply times no cache read, so any one
+    raises SnoopError.
     """
     zone = wire.validate_name(calibration_domain)
-    prober.probe(server, zone, recursion_desired=True)  # prime the cache
-    cached = [prober.probe(server, zone, recursion_desired=True).rtt_ms
-              for _ in range(CALIBRATION_SAMPLES)]
+
+    def rtt_ms(name: str) -> float:
+        reply = prober.probe(server, name, recursion_desired=True)
+        if reply.response.truncated:
+            raise SnoopError(f"{server}: truncated reply to calibration probe {name}")
+        return reply.rtt_ms
+
+    rtt_ms(zone)  # prime the cache
+    cached = [rtt_ms(zone) for _ in range(CALIBRATION_SAMPLES)]
     nonce = prober.rng.randrange(1 << 24)
-    miss = [prober.probe(server, f"cal-{nonce:x}-{i}.{zone}", recursion_desired=True).rtt_ms
-            for i in range(CALIBRATION_SAMPLES)]
+    miss = [rtt_ms(f"cal-{nonce:x}-{i}.{zone}") for i in range(CALIBRATION_SAMPLES)]
     cached_median = statistics.median(cached)
     miss_median = statistics.median(miss)
     threshold = (cached_median + miss_median) / 2.0
@@ -400,31 +446,20 @@ def _window(window: float, max_ttl: int) -> float:
     return window
 
 
-class _ProbingMachine:
-    """What the three probing machines share: the domain they probe, the
-    completed-cycle count that max_cycles budgets read, and the runs of
-    timeouts and of probes since the last cycle. _answered is the one
-    place a probe is counted and a reply judged a read of the cache,
-    _adopt_max the one place a stale maximum (and its ttl_grace, _grace)
-    is replaced, _observe the one place a completed cycle is recorded,
-    and _next the one place those runs end the domain. step(now, reply)
-    returns (next wake, items); a None wake ends the domain, from _next
-    or the machine's own end rules."""
-
-    method: str
-    recursion_desired = True
+class _ProbingMachine(_Machine):
+    """What the three probing machines share: the believed maximum TTL,
+    the completed-cycle count that max_cycles budgets read, _adopt_max
+    the one place a stale maximum (and its ttl_grace, _grace) is
+    replaced, _observe the one place a completed cycle is recorded, and
+    _next the one place the runs _answered counts end the domain.
+    step(now, reply) returns (next wake, items); a None wake ends the
+    domain, from _next or the machine's own end rules."""
 
     def __init__(self, server: str, domain: str, max_ttl: int):
-        self.server = server
-        self.domain = domain
+        super().__init__(server, domain)
         self.max_ttl = max_ttl
         self._grace = ttl_grace(max_ttl)
         self.cycles_completed = 0
-        self._timeouts = 0
-        self._unobserved = 0
-
-    def _error(self, at: float, kind: str, message: str) -> CycleError:
-        return CycleError(self.server, self.domain, self.method, at, kind, message)
 
     def _observe(self, items: list, start: float, length: float, rtt_ms: float,
                  delay: float | None = None) -> None:
@@ -446,26 +481,6 @@ class _ProbingMachine:
         self.max_ttl = snap_to_grid(ttl)[0]
         self._grace = ttl_grace(self.max_ttl)
         return True
-
-    def _answered(self, items: list, reply: ProbeReply | ProbeTimeout,
-                  stamp: float | None = None) -> ProbeReply | None:
-        """Count the probe; return its reply if it reads the cache, else
-        None after annotating what it is: a timeout, stamped at `stamp` or,
-        when that is None, once the retries gave up; or a truncated (TC=1)
-        reply, such as a rate limiter's empty "slip", stamped at its send.
-        """
-        self._unobserved += 1
-        if isinstance(reply, ProbeTimeout):
-            self._timeouts += 1
-            items.append(self._error(reply.at if stamp is None else stamp, "timeout",
-                                     str(reply)))
-            return None
-        self._timeouts = 0
-        if reply.response.truncated:
-            items.append(self._error(reply.sent_at, "truncated",
-                                     "truncated response; cycle discarded"))
-            return None
-        return reply
 
     def _next(self, items: list, now: float, wake: float | None) -> tuple[float | None, list]:
         """The step's (wake, items), None after FAILURE_LIMIT timeouts in a

@@ -265,12 +265,12 @@ class TestAuthorizationGate:
         assert "users' traffic" in capsys.readouterr().err
 
     @pytest.mark.parametrize("server", ["127.0.0.1", "127.0.0.1:5353",
-                                        "localhost", "[::1]:53", "sim"])
+                                        "localhost", "[::1]:53"])
     def test_loopback_targets_need_no_flag(self, server):
         assert cli._is_loopback(server)
 
     @pytest.mark.parametrize("server", ["8.8.8.8", "dns.example.com",
-                                        "[2001:db8::1]:53"])
+                                        "[2001:db8::1]:53", "sim"])
     def test_remote_targets_do(self, server):
         assert not cli._is_loopback(server)
 
@@ -553,10 +553,12 @@ DEAD = "unresolvable: no usable answer (rcode 3)"
 
 
 class TestVirtualTimeCommands:
+    # "sim" is no loopback name, so each command passes --authorized; the
+    # sim_resolver fixture keeps every probe inside the process
     def test_discover_ttl_reports_found_and_failed_domains(self, sim_resolver, tmp_path):
         sim_resolver(ZONES)
         out = tmp_path / "maxttls.json"
-        assert cli.main(["discover-ttl", "--server", "sim", "--confirmations", "2",
+        assert cli.main(["discover-ttl", "--server", "sim", "--authorized", "--confirmations", "2",
                          "--domains", "alpha.test,beta.test,dead.test",
                          "--out", str(out)]) == 0
         assert json.loads(out.read_text()) == {
@@ -570,7 +572,7 @@ class TestVirtualTimeCommands:
 
     def test_discover_ttl_exits_2_when_no_domain_is_found(self, sim_resolver, capsys):
         sim_resolver(ZONES)
-        assert cli.main(["discover-ttl", "--server", "sim",
+        assert cli.main(["discover-ttl", "--server", "sim", "--authorized",
                          "--domains", "dead.test"]) == 2
         assert json.loads(capsys.readouterr().out)["max_ttls"] == {}
 
@@ -578,7 +580,7 @@ class TestVirtualTimeCommands:
             self, sim_resolver, tmp_path, capsys):
         sims = sim_resolver(ZONES)
         log = tmp_path / "scan.jsonl"
-        assert cli.main(["snoop", "--server", "sim", "--confirmations", "2",
+        assert cli.main(["snoop", "--server", "sim", "--authorized", "--confirmations", "2",
                          "--domains", "alpha.test,dead.test,beta.test",
                          "--duration", "600", "--scan-id", "t", "--out", str(log)]) == 0
         assert f"skipping dead.test: {DEAD}" in capsys.readouterr().err
@@ -592,9 +594,9 @@ class TestVirtualTimeCommands:
         sims = sim_resolver(ZONES)
         maxttls, log = tmp_path / "maxttls.json", tmp_path / "scan.jsonl"
         domains = ["--domains", "alpha.test,beta.test"]
-        assert cli.main(["discover-ttl", "--server", "sim", "--confirmations", "2",
+        assert cli.main(["discover-ttl", "--server", "sim", "--authorized", "--confirmations", "2",
                          *domains, "--out", str(maxttls)]) == 0
-        assert cli.main(["snoop", "--server", "sim", *domains, "--cycles", "2",
+        assert cli.main(["snoop", "--server", "sim", "--authorized", *domains, "--cycles", "2",
                          "--max-ttls", str(maxttls), "--scan-id", "t",
                          "--out", str(log)]) == 0
         observed = load_observations(str(log)).observations
@@ -609,7 +611,7 @@ class TestVirtualTimeCommands:
         sim_resolver({**ZONES, "cal.test": {"address": "10.0.0.3", "ttl": 3600}})
         maxttls, log = tmp_path / "maxttls.json", tmp_path / "scan.jsonl"
         maxttls.write_text(json.dumps({"alpha.test": 60}))
-        assert cli.main(["snoop", "--server", "sim", "--domains", "alpha.test",
+        assert cli.main(["snoop", "--server", "sim", "--authorized", "--domains", "alpha.test",
                          "--method", "timing", "--calibration-domain", "cal.test",
                          "--max-ttls", str(maxttls), "--cycles", "3", "--scan-id", "t",
                          "--out", str(log)]) == 0
@@ -622,7 +624,7 @@ class TestVirtualTimeCommands:
                                 "recursion_extra_mean": 50.0, "recursion_jitter": 40.0})
         maxttls = tmp_path / "maxttls.json"
         maxttls.write_text(json.dumps({"alpha.test": 60}))
-        assert cli.main(["snoop", "--server", "sim", "--domains", "alpha.test",
+        assert cli.main(["snoop", "--server", "sim", "--authorized", "--domains", "alpha.test",
                          "--method", "timing", "--calibration-domain", "cal.test",
                          "--max-ttls", str(maxttls), "--cycles", "3"]) == 2
         assert "error: InsufficientSeparation: sim: cached/miss RTTs overlap" in (
@@ -631,6 +633,6 @@ class TestVirtualTimeCommands:
     def test_snoop_has_no_liveness_flag(self, sim_resolver, capsys):
         sims = sim_resolver(ZONES)
         with pytest.raises(SystemExit) as exc:
-            cli.main(["snoop", "--server", "sim", "--domains", "alpha.test",
+            cli.main(["snoop", "--server", "sim", "--authorized", "--domains", "alpha.test",
                       "--cycles", "1", "--liveness"])
         assert exc.value.code == 1 and sims == []

@@ -283,6 +283,27 @@ class TestDiscoveryMachine:
         with pytest.raises(ValueError, match="required_confirmations"):
             DiscoveryMachine("sim", "a.test", required_confirmations=0)
 
+    TRUNCATED = CycleError("sim", "a.test", "discovery", 0.0, "truncated",
+                           "truncated response; cycle discarded")
+
+    def test_a_truncated_reply_ends_discovery_at_once(self):
+        machine = DiscoveryMachine("sim", "a.test")
+        assert machine.step(0.0, reply("truncated", at=0.0)) == (None, [self.TRUNCATED])
+
+    def test_the_ttl_of_a_truncated_reply_is_not_read(self):
+        # a TC=1 reply that carries TTL 240 would otherwise arm a
+        # checkpoint for 238 s
+        machine = DiscoveryMachine("sim", "a.test")
+        truncated = reply(240, at=0.0)
+        truncated.response.truncated = True
+        assert machine.step(0.0, truncated) == (None, [self.TRUNCATED])
+
+    def test_discover_all_reports_a_truncated_reply_as_such(self, scripted):
+        prober, clock, exchange = scripted(["truncated"])
+        assert discover_all(prober, clock, "sim", ["a.test"]) == ({}, {
+            "a.test": "truncated: truncated response; cycle discarded"})
+        assert not exchange.script
+
 
 class TestRunCycleTtlRecursive:
     """One expiry-watch cycle, probe by probe: a read fixes the expiry,
@@ -672,6 +693,16 @@ class TestTimingCalibration:
             calibrate_timing(prober, "sim", "a.test")
         assert info.value.calibration is not None
         assert info.value.calibration.separation_quality < 0.95
+
+    def test_a_truncated_reply_is_no_rtt_sample(self, scripted):
+        # every probe comes back TC=1, the refusals as well separated as
+        # cache hits and misses would be: 5 ms cached, 60 ms miss
+        n = engine.CALIBRATION_SAMPLES
+        prober, _, _ = scripted([("truncated", 5.0)] * (n + 1)
+                                + [("truncated", 60.0)] * n)
+        with pytest.raises(SnoopError, match=r"^sim: truncated reply to calibration "
+                                             r"probe a\.test$"):
+            calibrate_timing(prober, "sim", "a.test")
 
     def test_classification_with_guard_band(self):
         calibration = make_calibration(cached=5.0, miss=55.0)
